@@ -53,6 +53,7 @@ from .series import (
     words_of_degree,
     words_up_to_degree,
 )
+from .taylor import curvature_operators
 from .tensors import (
     DenseTensor,
     LinearOperator,

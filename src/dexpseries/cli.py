@@ -12,6 +12,10 @@ Subcommands:
 * lemma2       -- t-derivatives of the transported curvature operator against
                   the scaled curvature-derivative operators
 
+eval, verify and convergence get the curvature operators r_n(v) by Taylor-mode
+propagation along the geodesic (taylor.curvature_operators); lemma2 checks the
+transported curvature against the dense covariant-derivative tower.
+
 Exit codes: 0 all embedded checks pass, 1 a check fails, 2 invalid input.
 """
 
@@ -19,14 +23,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import manifolds, series
 from .evaluate import closed_form_components, evaluate_closed_form, evaluate_recurrence
-from .geometry import ChartDomainError, curvature_jet
+from .geometry import ChartDomainError
 from .oracle import curvature_derivative_check, dexp_oracle
+from .taylor import curvature_operators
 from .tensors import operator_distance
 
 MAX_DEGREE_CAP = 12
@@ -36,6 +42,38 @@ DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
 
 class InvalidInput(ValueError):
     pass
+
+
+def _integer(value, name: str) -> int:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if not number.is_integer():
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(number)
+
+
+def _positive(value, name: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be a number, got {value!r}")
+    if not (math.isfinite(number) and number > 0.0):
+        raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
+    return number
+
+
+def _finite_vector(value, name: str, dimension: int) -> np.ndarray:
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(f"{name} must be a list of numbers")
+    if out.shape != (dimension,):
+        raise InvalidInput(f"{name} must have {dimension} components")
+    if not np.all(np.isfinite(out)):
+        raise InvalidInput(f"{name} components must be finite")
+    return out
 
 
 def _load_config(args) -> dict:
@@ -54,20 +92,16 @@ def _load_config(args) -> dict:
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidInput(f"bad manifold config: {exc}")
 
-    point = np.asarray(cfg.get("point", [0.0] * model.dimension), dtype=float)
-    vector = np.asarray(cfg.get("vector", []), dtype=float)
-    if point.shape != (model.dimension,):
-        raise InvalidInput(f"point must have {model.dimension} components")
-    if vector.shape != (model.dimension,):
-        raise InvalidInput(f"vector must have {model.dimension} components")
+    point = _finite_vector(cfg.get("point", [0.0] * model.dimension), "point", model.dimension)
+    vector = _finite_vector(cfg.get("vector", []), "vector", model.dimension)
 
     out = {
         "model": model,
         "point": point,
         "vector": vector,
-        "max_degree": int(cfg.get("max_degree", 10)),
-        "steps": int(cfg.get("steps", 2000)),
-        "fd_step": float(cfg.get("fd_step", 1e-2)),
+        "max_degree": cfg.get("max_degree", 10),
+        "steps": cfg.get("steps", 2000),
+        "fd_step": cfg.get("fd_step", 1e-2),
         "tolerance": cfg.get("tolerance"),
         "t_values": cfg.get("t_values"),
         "n": cfg.get("n"),
@@ -83,6 +117,13 @@ def _load_config(args) -> dict:
     if getattr(args, "t_values", None):
         out["t_values"] = args.t_values
 
+    out["max_degree"] = _integer(out["max_degree"], "max_degree")
+    out["steps"] = _integer(out["steps"], "steps")
+    out["fd_step"] = _positive(out["fd_step"], "fd_step")
+    if out["tolerance"] is not None:
+        out["tolerance"] = _positive(out["tolerance"], "tolerance")
+    if out["n"] is not None:
+        out["n"] = _integer(out["n"], "n")
     if out["max_degree"] > MAX_DEGREE_CAP or out["max_degree"] < 0:
         raise InvalidInput(f"max_degree must lie in 0..{MAX_DEGREE_CAP}")
     if out["steps"] < MIN_STEPS:
@@ -130,12 +171,17 @@ def cmd_coeffs(args) -> int:
                              + ("agree" if matches else "DISAGREE"))
 
 
+def _operators(cfg) -> list[np.ndarray]:
+    return curvature_operators(cfg["model"], cfg["point"], cfg["vector"],
+                               max(0, cfg["max_degree"] - 2))
+
+
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
-    jet = curvature_jet(cfg["model"], cfg["point"], max(0, n - 2))
-    closed = evaluate_closed_form(jet, cfg["vector"], n)
-    recur = evaluate_recurrence(jet, cfg["vector"], n)
+    ops = _operators(cfg)
+    closed = evaluate_closed_form(ops, max_degree=n)
+    recur = evaluate_recurrence(ops, max_degree=n)
     dist = operator_distance(closed.operator, recur.operator)
     tol = float(1e-12 * (1.0 + np.linalg.norm(closed.operator.matrix)))
     passed = bool(dist <= tol)
@@ -155,11 +201,10 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
-    jet = curvature_jet(cfg["model"], cfg["point"], max(0, n - 2))
-    ev = evaluate_closed_form(jet, cfg["vector"], n)
+    ev = evaluate_closed_form(_operators(cfg), max_degree=n)
     oracle_op = dexp_oracle(cfg["model"], cfg["point"], cfg["vector"], cfg["steps"])
     dist = operator_distance(ev.operator, oracle_op)
-    tol = float(cfg["tolerance"]) if cfg["tolerance"] is not None else 1e-6
+    tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6
     passed = dist <= tol
     _emit(args, json.dumps({
         "command": "verify",
@@ -178,12 +223,14 @@ def cmd_verify(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
-    t_values = [float(t) for t in (cfg["t_values"] or DEFAULT_T_VALUES)]
-    if any(not 0.0 < t <= 0.5 for t in t_values):
+    t_values = cfg["t_values"] or DEFAULT_T_VALUES
+    if not isinstance(t_values, (list, tuple)):
+        raise InvalidInput("t_values must be a list of numbers")
+    t_values = [_positive(t, "t value") for t in t_values]
+    if any(t > 0.5 for t in t_values):
         raise InvalidInput("t values must lie in (0, 0.5]")
 
-    jet = curvature_jet(cfg["model"], cfg["point"], max(0, n - 2))
-    comps = closed_form_components(jet, cfg["vector"], n)
+    comps = closed_form_components(_operators(cfg), max_degree=n)
     rows = []
     for t in sorted(t_values):
         truncated = sum(t**k * comp for k, comp in enumerate(comps))
@@ -216,12 +263,12 @@ def cmd_lemma2(args) -> int:
     cfg = _load_config(args)
     if cfg["n"] is None:
         raise InvalidInput("lemma2 needs a derivative order: config field 'n' or --n")
-    order = int(cfg["n"])
+    order = cfg["n"]
     if not 0 <= order <= 4:
         raise InvalidInput("derivative order must lie in 0..4")
     check = curvature_derivative_check(cfg["model"], cfg["point"], cfg["vector"], order,
                                        steps=cfg["steps"], fd_step=cfg["fd_step"])
-    tol = float(cfg["tolerance"]) if cfg["tolerance"] is not None else 1e-5
+    tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-5
     passed = check.distance <= tol
     blob = check.to_json()
     blob.update({"command": "lemma2", "manifold": cfg["model"].name,

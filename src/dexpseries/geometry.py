@@ -16,7 +16,10 @@ those this module computes
   their compositions indexed by integer words.
 
 All derivatives are taken on truncated polynomial jets, so the only numerical
-error in this module is floating-point rounding.
+error in this module is floating-point rounding.  The dense tower stores
+nabla^n R as a d^(n+4) array; it is the cross-check for the Taylor-mode route
+in taylor.py, which the CLI uses for the series, and it is the right-hand side
+of the oracle's transported-curvature derivative check.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import dexpseries
 from dexpseries.cli import main
 
 SPHERE_CONFIG = {
@@ -212,9 +215,50 @@ def test_runs_are_deterministic(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
+    # the child process imports the same package this process imported
+    package_root = str(pathlib.Path(dexpseries.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "dexpseries", "coeffs", "--max-degree", "4"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout
+
+
+def assert_invalid(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize("value", ["ten", 8.5, None])
+def test_non_integer_max_degree_is_invalid(tmp_path, capsys, value):
+    cfg = dict(POLY_CONFIG, max_degree=value)
+    assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
+
+
+@pytest.mark.parametrize("value", ["many", 400.5])
+def test_non_integer_steps_is_invalid(tmp_path, capsys, value):
+    cfg = dict(SPHERE_CONFIG, steps=value)
+    assert_invalid(["verify", "--config", write_config(tmp_path, cfg)], capsys)
+
+
+@pytest.mark.parametrize("field", ["vector", "point"])
+def test_nan_component_is_invalid(tmp_path, capsys, field):
+    cfg = dict(POLY_CONFIG)
+    cfg[field] = [0.1, float("nan"), 0.0]
+    assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
+
+
+def test_lemma2_zero_fd_step_is_invalid(tmp_path, capsys):
+    cfg = dict(POLY_CONFIG, steps=150)
+    assert_invalid(["lemma2", "--config", write_config(tmp_path, cfg), "--n", "2",
+                    "--fd-step", "0"], capsys)
+
+
+def test_verify_negative_tolerance_is_invalid(tmp_path, capsys):
+    assert_invalid(["verify", "--config", write_config(tmp_path, SPHERE_CONFIG),
+                    "--tolerance", "-1"], capsys)
