@@ -33,7 +33,6 @@ from .oracle import (
     DerivativeCheck,
     GeodesicTrajectory,
     TransportFrame,
-    curvature_derivative_check,
     curvature_derivative_table,
     dexp_oracle,
     dexp_oracle_fd,
@@ -42,7 +41,6 @@ from .oracle import (
     transported_curvature,
 )
 from .series import (
-    FormalSeries,
     closed_form_series,
     coefficient,
     degree,
@@ -57,10 +55,7 @@ from .taylor import curvature_operators
 from .tensors import (
     DenseTensor,
     LinearOperator,
-    apply,
-    compose,
     contract_leading,
-    frobenius_norm,
     operator_distance,
 )
 

@@ -31,12 +31,14 @@ import numpy as np
 from . import manifolds, series
 from .evaluate import closed_form_components, evaluate_closed_form, evaluate_recurrence
 from .geometry import ChartDomainError
-from .oracle import curvature_derivative_check, dexp_oracle
+from .oracle import curvature_derivative_table, dexp_oracle
 from .taylor import curvature_operators
 from .tensors import operator_distance
 
 MAX_DEGREE_CAP = 12
 MIN_STEPS = 100
+MAX_STEPS = 100_000  # the oracle stores 2*steps + 1 trajectory nodes
+MAX_JET_BYTES = 2**29  # Christoffel jet plus first partials on the Taylor route
 DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
 
 
@@ -79,12 +81,15 @@ def _finite_vector(value, name: str, dimension: int) -> np.ndarray:
 def _load_config(args) -> dict:
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInput(f"cannot read config {args.config!r}: {exc}")
 
-    cfg = dict(raw)
-    manifold_cfg = dict(cfg.get("manifold") or {})
+    if not isinstance(cfg, dict):
+        raise InvalidInput("config must be a JSON object")
+    manifold_cfg = cfg.get("manifold") or {}
+    if not isinstance(manifold_cfg, dict):
+        raise InvalidInput("manifold must be a JSON object")
     if getattr(args, "seed", None) is not None:
         manifold_cfg["seed"] = args.seed
     try:
@@ -126,8 +131,8 @@ def _load_config(args) -> dict:
         out["n"] = _integer(out["n"], "n")
     if out["max_degree"] > MAX_DEGREE_CAP or out["max_degree"] < 0:
         raise InvalidInput(f"max_degree must lie in 0..{MAX_DEGREE_CAP}")
-    if out["steps"] < MIN_STEPS:
-        raise InvalidInput(f"steps must be at least {MIN_STEPS}")
+    if not MIN_STEPS <= out["steps"] <= MAX_STEPS:
+        raise InvalidInput(f"steps must lie in {MIN_STEPS}..{MAX_STEPS}")
 
     norm = float(np.linalg.norm(vector))
     if norm > 1.0:
@@ -172,8 +177,15 @@ def cmd_coeffs(args) -> int:
 
 
 def _operators(cfg) -> list[np.ndarray]:
-    return curvature_operators(cfg["model"], cfg["point"], cfg["vector"],
-                               max(0, cfg["max_degree"] - 2))
+    model, order = cfg["model"], max(0, cfg["max_degree"] - 2)
+    d = model.dimension
+    # christoffel_jet(p, K+1) and its d first partials, d^3 doubles per monomial
+    nbytes = (math.comb(d + order + 1, d) + d * math.comb(d + order, d)) * d**3 * 8
+    if nbytes > MAX_JET_BYTES:
+        raise InvalidInput(f"max_degree {cfg['max_degree']} in dimension {d} needs "
+                           f"{nbytes / 2**30:.1f} GiB of Christoffel jet "
+                           f"(limit {MAX_JET_BYTES / 2**30:g} GiB)")
+    return curvature_operators(model, cfg["point"], cfg["vector"], order)
 
 
 def cmd_eval(args) -> int:
@@ -266,8 +278,8 @@ def cmd_lemma2(args) -> int:
     order = cfg["n"]
     if not 0 <= order <= 4:
         raise InvalidInput("derivative order must lie in 0..4")
-    check = curvature_derivative_check(cfg["model"], cfg["point"], cfg["vector"], order,
-                                       steps=cfg["steps"], fd_step=cfg["fd_step"])
+    check = curvature_derivative_table(cfg["model"], cfg["point"], cfg["vector"], [order],
+                                       steps=cfg["steps"], fd_step=cfg["fd_step"])[order]
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-5
     passed = check.distance <= tol
     blob = check.to_json()
@@ -321,10 +333,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInput as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ChartDomainError as exc:
+    except (InvalidInput, ChartDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

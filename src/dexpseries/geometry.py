@@ -130,28 +130,25 @@ class CurvatureJet:
     def dimension(self) -> int:
         return self.tensors[0].dimension
 
-    def to_json(self) -> dict:
-        return {
-            "point": self.point.tolist(),
-            "max_order": self.max_order,
-            "tensors": [t.to_json() for t in self.tensors],
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "CurvatureJet":
-        tensors = [DenseTensor.from_json(t) for t in blob["tensors"]]
-        return cls(np.asarray(blob["point"], dtype=float), blob["max_order"], tensors)
-
     def __repr__(self):
         return f"CurvatureJet(d={self.dimension}, max_order={self.max_order})"
 
 
 def curvature(model: ManifoldModel, x) -> DenseTensor:
-    """Curvature tensor at x as a (1, 3) tensor, antisymmetric in the (X, Y) pair."""
+    """Curvature tensor at x as a (1, 3) tensor, antisymmetric in the (X, Y) pair.
+
+    Built from Gamma and d Gamma at x alone, sharing no code with the dense
+    tower, so that the ODE oracle which calls it stays independent of it.
+    """
     x = np.asarray(x, dtype=float)
     model.require_in_domain(x)
-    gamma = model.christoffel_jet(x, 1)
-    return DenseTensor(1, 3, curvature_polynomial(gamma, 0).value)
+    jet = model.christoffel_jet(x, 1)
+    g = jet.value  # g[l, j, k] = Gamma^l_jk
+    dg = np.stack([jet.diff(a).value for a in range(jet.dim)])  # dg[a] = d_a Gamma
+    gg = np.einsum("lim,mjk->lijk", g, g)
+    r = (np.einsum("iljk->lijk", dg) - np.einsum("jlik->lijk", dg)
+         + gg - np.einsum("ljik->lijk", gg))
+    return DenseTensor(1, 3, r)
 
 
 def curvature_jet(model: ManifoldModel, p, max_order: int) -> CurvatureJet:
@@ -195,7 +192,7 @@ def word_operator(jet: CurvatureJet, v, word) -> LinearOperator:
         raise ValueError("word entries must be nonnegative")
     if word and max(word) > jet.max_order:
         raise ValueError(f"word {word} needs derivative order {max(word)} > jet max {jet.max_order}")
-    out = LinearOperator.identity(jet.dimension)
+    out = np.eye(jet.dimension)
     for n in word:
-        out = out @ jacobi_operator(jet, v, n)
-    return out
+        out = out @ jacobi_operator(jet, v, n).matrix
+    return LinearOperator(out)

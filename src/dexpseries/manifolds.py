@@ -14,6 +14,8 @@ import numpy as np
 from .geometry import ManifoldModel
 from .polyjet import PolyTensor, contract, monomial_exponents, monomial_indices, reciprocal
 
+MAX_POLY_TABLE_BYTES = 2**26  # from_config: polynomial shift tables plus coefficients
+
 
 class FlatSpace(ManifoldModel):
     """R^d with the trivial connection; everything downstream is exactly zero."""
@@ -228,12 +230,12 @@ def from_config(config: dict) -> ManifoldModel:
     elif kind == "hyperbolic":
         model = hyperbolic(d)
     elif kind == "polynomial":
+        poly_degree = int(cfg.pop("degree", 3))
+        m = math.comb(d + max(poly_degree, 0), d)  # monomials of degree <= poly_degree
+        if 8 * m * d * (m + d * d) > MAX_POLY_TABLE_BYTES:  # (M, M, d) and (M, d, d, d)
+            raise ValueError(f"polynomial degree {poly_degree} is too high for dimension {d}")
         model = polynomial_connection(
-            d,
-            int(cfg.pop("degree", 3)),
-            float(cfg.pop("scale", 0.5)),
-            int(cfg.pop("seed", 0)),
-        )
+            d, poly_degree, float(cfg.pop("scale", 0.5)), int(cfg.pop("seed", 0)))
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
     if cfg:

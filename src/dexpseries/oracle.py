@@ -1,9 +1,10 @@
 """Independent ODE ground truth for the transported differential.
 
 Everything here is built from fixed-step classical RK4 integration of chart
-ODEs, using only pointwise Christoffel symbols and pointwise curvature along
-the way; none of the polynomial-jet derivative machinery enters.  The three
-pillars:
+ODEs, using only pointwise Christoffel symbols and the pointwise curvature
+formed from Gamma and its first partials (geometry.curvature).  The Taylor
+route never enters; the dense covariant-derivative tower supplies only the
+prediction that the derivative check compares against.  The three pillars:
 
 * geodesics:           x'' = -Gamma(x)(x', x')
 * parallel transport:  u'  = -Gamma(x)(x', u)
@@ -28,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import CurvatureJet, ManifoldModel, curvature, curvature_jet, jacobi_operator
+from .geometry import ManifoldModel, curvature, curvature_jet, jacobi_operator
 from .tensors import LinearOperator
 
 
@@ -48,13 +49,6 @@ class GeodesicTrajectory:
     def end_velocity(self) -> np.ndarray:
         return self.velocities[-1]
 
-    def to_json(self) -> dict:
-        return {
-            "times": self.times.tolist(),
-            "positions": self.positions.tolist(),
-            "velocities": self.velocities.tolist(),
-        }
-
 
 @dataclass
 class TransportFrame:
@@ -67,9 +61,6 @@ class TransportFrame:
     @property
     def end(self) -> np.ndarray:
         return self.frames[-1]
-
-    def to_json(self) -> dict:
-        return {"times": self.times.tolist(), "frames": self.frames.tolist()}
 
 
 def integrate_geodesic(model: ManifoldModel, p, v, steps: int) -> GeodesicTrajectory:
@@ -114,31 +105,19 @@ def _transport_generators(model: ManifoldModel, traj: GeodesicTrajectory) -> np.
     return -np.einsum("nkij,ni->nkj", gammas, traj.velocities)
 
 
-def _integrate_linear(a_nodes: np.ndarray, times: np.ndarray, y0: np.ndarray,
-                      extra=None) -> np.ndarray:
-    """RK4 for Y' = A(t) Y (+ optional extra term), A given on a half-step grid.
-
-    extra, when present, maps (node_index, Y) -> additive term, evaluated at
-    the same three nodes per step as A.  Returns Y at the even nodes.
-    """
+def _integrate_linear(a_nodes: np.ndarray, times: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """RK4 for Y' = A(t) Y, A given on a half-step grid; returns Y at the even nodes."""
     n_steps = (len(times) - 1) // 2
     out = np.empty((n_steps + 1,) + y0.shape)
     out[0] = y0
     y = y0
-
-    def rhs(node, yy):
-        val = a_nodes[node] @ yy
-        if extra is not None:
-            val = val + extra(node, yy)
-        return val
-
     for s in range(n_steps):
         n0 = 2 * s
         h = times[n0 + 2] - times[n0]
-        k1 = rhs(n0, y)
-        k2 = rhs(n0 + 1, y + 0.5 * h * k1)
-        k3 = rhs(n0 + 1, y + 0.5 * h * k2)
-        k4 = rhs(n0 + 2, y + h * k3)
+        k1 = a_nodes[n0] @ y
+        k2 = a_nodes[n0 + 1] @ (y + 0.5 * h * k1)
+        k3 = a_nodes[n0 + 1] @ (y + 0.5 * h * k2)
+        k4 = a_nodes[n0 + 2] @ (y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[s + 1] = y
     return out
@@ -343,9 +322,3 @@ def curvature_derivative_table(model: ManifoldModel, p, v, orders, steps: int = 
             rhs = LinearOperator.zero(d)
         out[n] = DerivativeCheck(n, lhs, rhs, float(np.linalg.norm(lhs.matrix - rhs.matrix)))
     return out
-
-
-def curvature_derivative_check(model: ManifoldModel, p, v, order: int, steps: int = 600,
-                               fd_step: float = 1e-2) -> DerivativeCheck:
-    """Single-order version of curvature_derivative_table."""
-    return curvature_derivative_table(model, p, v, [order], steps, fd_step)[order]

@@ -173,9 +173,6 @@ class PolyTensor:
         a, b = _align(self, other)
         return PolyTensor(a.dim, a.degree, a.data - b.data)
 
-    def __neg__(self) -> "PolyTensor":
-        return PolyTensor(self.dim, self.degree, -self.data)
-
     def __mul__(self, scalar: float) -> "PolyTensor":
         return PolyTensor(self.dim, self.degree, self.data * float(scalar))
 

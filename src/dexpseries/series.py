@@ -100,52 +100,13 @@ def words_up_to_degree(n: int) -> list[Word]:
     return out
 
 
-class FormalSeries:
-    """A truncated formal series: exact Fraction coefficients indexed by words.
-
-    Stores only nonzero coefficients; every stored word has degree <= max_degree.
-    """
-
-    def __init__(self, terms: dict[Word, Fraction], max_degree: int):
-        self.max_degree = int(max_degree)
-        self.terms: dict[Word, Fraction] = {}
-        for nu, c in terms.items():
-            nu = _check_word(nu)
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if degree(nu) > self.max_degree:
-                raise ValueError(
-                    f"word {nu} has degree {degree(nu)} > max_degree {self.max_degree}"
-                )
-            self.terms[nu] = c
-
-    def coefficient_of(self, nu: Word) -> Fraction:
-        return self.terms.get(_check_word(nu), Fraction(0))
-
-    def homogeneous(self, n: int) -> dict[Word, Fraction]:
-        """The degree-n terms as a word -> coefficient dict."""
-        return {nu: c for nu, c in self.terms.items() if degree(nu) == n}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FormalSeries):
-            return NotImplemented
-        return self.max_degree == other.max_degree and self.terms == other.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __repr__(self) -> str:
-        return f"FormalSeries({len(self.terms)} terms, max_degree={self.max_degree})"
+def closed_form_series(max_degree: int) -> dict[Word, Fraction]:
+    """The series from the closed-form coefficient rule, truncated at max_degree,
+    as a word -> coefficient dict (every coefficient is nonzero)."""
+    return {nu: coefficient(nu) for nu in words_up_to_degree(max_degree)}
 
 
-def closed_form_series(max_degree: int) -> FormalSeries:
-    """The series from the closed-form coefficient rule, truncated at max_degree."""
-    terms = {nu: coefficient(nu) for nu in words_up_to_degree(max_degree)}
-    return FormalSeries(terms, max_degree)
-
-
-def recurrence_series(max_degree: int) -> FormalSeries:
+def recurrence_series(max_degree: int) -> dict[Word, Fraction]:
     """The same series built from the homogeneous-component recurrence.
 
     Degree components start from E_0 = identity, E_1 = 0; for n >= 2 the degree-n
@@ -167,12 +128,12 @@ def recurrence_series(max_degree: int) -> FormalSeries:
     terms: dict[Word, Fraction] = {}
     for comp in components[: max_degree + 1]:
         terms.update(comp)
-    return FormalSeries(terms, max_degree)
+    return terms
 
 
-def series_table(series: FormalSeries) -> list[tuple[Word, int, Fraction]]:
+def series_table(terms: dict[Word, Fraction]) -> list[tuple[Word, int, Fraction]]:
     """Rows (word, degree, coefficient) sorted by degree, then length, then entries."""
-    rows = [(nu, degree(nu), c) for nu, c in series.terms.items()]
+    rows = [(nu, degree(nu), c) for nu, c in terms.items()]
     rows.sort(key=lambda row: (row[1], len(row[0]), row[0]))
     return rows
 

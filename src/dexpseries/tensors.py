@@ -42,20 +42,6 @@ class DenseTensor:
     def dimension(self) -> int:
         return self.components.shape[0] if self.components.ndim else 1
 
-    def to_json(self) -> dict:
-        return {
-            "contravariant": self.contravariant,
-            "covariant": self.covariant,
-            "dimension": self.dimension,
-            "components": self.components.ravel().tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "DenseTensor":
-        p, q, d = blob["contravariant"], blob["covariant"], blob["dimension"]
-        comps = np.asarray(blob["components"], dtype=float).reshape((d,) * (p + q))
-        return cls(p, q, comps)
-
 
 def contract_leading(tensor: DenseTensor, v: np.ndarray, n: int) -> DenseTensor:
     """Contract the vector v into the first covariant slot, n times.
@@ -104,7 +90,10 @@ class LinearOperator:
         return self.matrix @ w
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return compose(self, other)
+        """Matrix product self * other (apply other first)."""
+        if self.dimension != other.dimension:
+            raise ValueError(f"operator dimensions differ: {self.dimension} vs {other.dimension}")
+        return LinearOperator(self.matrix @ other.matrix)
 
     def __add__(self, other: "LinearOperator") -> "LinearOperator":
         if self.dimension != other.dimension:
@@ -123,26 +112,6 @@ class LinearOperator:
 
     def to_json(self) -> dict:
         return {"dimension": self.dimension, "matrix": self.matrix.tolist()}
-
-    @classmethod
-    def from_json(cls, blob: dict) -> "LinearOperator":
-        return cls(np.asarray(blob["matrix"], dtype=float))
-
-
-def compose(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    """Matrix product a * b (apply b first)."""
-    if a.dimension != b.dimension:
-        raise ValueError(f"operator dimensions differ: {a.dimension} vs {b.dimension}")
-    return LinearOperator(a.matrix @ b.matrix)
-
-
-def apply(a: LinearOperator, w: np.ndarray) -> np.ndarray:
-    """Matrix-vector product a @ w."""
-    return a.apply(w)
-
-
-def frobenius_norm(a: LinearOperator) -> float:
-    return float(np.linalg.norm(a.matrix))
 
 
 def operator_distance(a: LinearOperator, b: LinearOperator) -> float:

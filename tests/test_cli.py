@@ -262,3 +262,30 @@ def test_lemma2_zero_fd_step_is_invalid(tmp_path, capsys):
 def test_verify_negative_tolerance_is_invalid(tmp_path, capsys):
     assert_invalid(["verify", "--config", write_config(tmp_path, SPHERE_CONFIG),
                     "--tolerance", "-1"], capsys)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", json.dumps(dict(SPHERE_CONFIG, manifold="sphere"))],
+                         ids=["list", "string-manifold"])
+def test_malformed_config_shape_is_invalid(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert_invalid(["eval", "--config", str(path)], capsys)
+
+
+def test_huge_steps_is_invalid(tmp_path, capsys):
+    assert_invalid(["verify", "--config", write_config(tmp_path, SPHERE_CONFIG),
+                    "--steps", str(10**30)], capsys)
+
+
+def test_polynomial_degree_over_bound_is_invalid(tmp_path, capsys):
+    # the shift tables would hold C(63, 3)^2 * 3 entries, about 38 GB
+    cfg = dict(POLY_CONFIG, manifold=dict(POLY_CONFIG["manifold"], degree=60))
+    assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "verify", "convergence"])
+def test_christoffel_jet_over_budget_is_invalid(tmp_path, capsys, command):
+    # d = 10, max_degree 12: about 17.6 GB of Christoffel jet and partials
+    cfg = {"manifold": {"kind": "flat", "dimension": 10}, "point": [0.0] * 10,
+           "vector": [0.01] * 10, "max_degree": 12, "steps": 200}
+    assert_invalid([command, "--config", write_config(tmp_path, cfg)], capsys)

@@ -10,7 +10,7 @@ from dexpseries.geometry import (
     word_operator,
 )
 from dexpseries.manifolds import flat, hyperbolic, polynomial_connection, sphere
-from dexpseries.tensors import frobenius_norm, operator_distance
+from dexpseries.tensors import operator_distance
 
 
 # ----------------------------------------------------------------------------
@@ -227,17 +227,11 @@ def test_polynomial_connection_has_nonzero_first_derivative():
     assert norm == pytest.approx(8.37105966227786, rel=1e-12)
 
 
-def test_jet_storage_shapes_and_json_roundtrip():
+def test_jet_storage_shapes():
     model = polynomial_connection(2, 2, 0.4, 5)
     jet = curvature_jet(model, np.zeros(2), 3)
     for n, t in enumerate(jet.tensors):
         assert t.components.shape == (2,) * (4 + n)
-    blob = jet.to_json()
-    from dexpseries.geometry import CurvatureJet
-
-    jet2 = CurvatureJet.from_json(blob)
-    for a, b in zip(jet.tensors, jet2.tensors):
-        assert np.array_equal(a.components, b.components)
 
 
 def test_jet_order_errors():
@@ -271,7 +265,7 @@ def test_directional_derivative_basics():
 def test_jacobi_operator_flat_zero():
     jet = curvature_jet(flat(3), np.zeros(3), 2)
     for n in range(3):
-        assert frobenius_norm(jacobi_operator(jet, np.array([0.3, 0.1, -0.2]), n)) == 0.0
+        assert not np.any(jacobi_operator(jet, np.array([0.3, 0.1, -0.2]), n).matrix)
 
 
 def test_jacobi_operator_homogeneity():

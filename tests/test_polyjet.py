@@ -161,6 +161,5 @@ def test_arithmetic_and_alignment():
     assert c.degree == 1
     assert np.allclose(c.value, 2 * np.eye(2))
     assert np.allclose((2.0 * a).value, 2 * np.eye(2))
-    assert np.allclose((-a).value, -np.eye(2))
     with pytest.raises(ValueError):
         a + PolyTensor.constant(3, 2, np.eye(2))

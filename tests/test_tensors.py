@@ -1,15 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from dexpseries.tensors import (
-    DenseTensor,
-    LinearOperator,
-    apply,
-    compose,
-    contract_leading,
-    frobenius_norm,
-    operator_distance,
-)
+from dexpseries.tensors import DenseTensor, LinearOperator, contract_leading, operator_distance
 
 
 def brute_force_contract(components, v, p, n):
@@ -96,47 +90,40 @@ def test_compose_identities():
     rng = np.random.default_rng(5)
     A = LinearOperator(rng.normal(size=(3, 3)))
     I = LinearOperator.identity(3)
-    assert operator_distance(compose(A, I), A) == 0.0
-    assert operator_distance(compose(I, A), A) == 0.0
+    assert operator_distance(A @ I, A) == 0.0
+    assert operator_distance(I @ A, A) == 0.0
 
 
 def test_compose_hand_expanded():
     A = LinearOperator(np.array([[1.0, 2.0], [3.0, 4.0]]))
     B = LinearOperator(np.array([[0.0, 1.0], [-1.0, 2.0]]))
-    C = compose(A, B)
+    C = A @ B
     assert np.allclose(C.matrix, np.array([[-2.0, 5.0], [-4.0, 11.0]]))
 
 
 def test_compose_associative():
     rng = np.random.default_rng(11)
     ops = [LinearOperator(rng.normal(size=(4, 4))) for _ in range(3)]
-    left = compose(compose(ops[0], ops[1]), ops[2])
-    right = compose(ops[0], compose(ops[1], ops[2]))
-    assert operator_distance(left, right) <= 1e-14 * (1 + frobenius_norm(left))
+    left = (ops[0] @ ops[1]) @ ops[2]
+    right = ops[0] @ (ops[1] @ ops[2])
+    assert operator_distance(left, right) <= 1e-14 * (1 + np.linalg.norm(left.matrix))
 
 
 def test_compose_dimension_mismatch():
     with pytest.raises(ValueError):
-        compose(LinearOperator.identity(2), LinearOperator.identity(3))
+        LinearOperator.identity(2) @ LinearOperator.identity(3)
 
 
 def test_apply():
     w = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(apply(LinearOperator.identity(3), w), w)
-    assert np.array_equal(apply(LinearOperator.zero(3), w), np.zeros(3))
+    assert np.array_equal(LinearOperator.identity(3).apply(w), w)
+    assert np.array_equal(LinearOperator.zero(3).apply(w), np.zeros(3))
     rng = np.random.default_rng(9)
     A = LinearOperator(rng.normal(size=(3, 3)))
     expected = np.array([sum(A.matrix[i, j] * w[j] for j in range(3)) for i in range(3)])
-    assert np.allclose(apply(A, w), expected)
+    assert np.allclose(A.apply(w), expected)
     with pytest.raises(ValueError):
-        apply(A, np.ones(4))
-
-
-def test_frobenius_norm():
-    assert frobenius_norm(LinearOperator.zero(4)) == 0.0
-    assert frobenius_norm(LinearOperator.identity(3)) == pytest.approx(np.sqrt(3))
-    M = np.array([[1.0, -2.0], [2.0, 0.5]])
-    assert frobenius_norm(LinearOperator(M)) == pytest.approx(np.sqrt((M**2).sum()))
+        A.apply(np.ones(4))
 
 
 def test_operator_arithmetic():
@@ -149,11 +136,8 @@ def test_operator_arithmetic():
 
 
 def test_json_roundtrip():
-    rng = np.random.default_rng(1)
-    T = DenseTensor(1, 3, rng.normal(size=(2, 2, 2, 2)))
-    T2 = DenseTensor.from_json(T.to_json())
-    assert np.array_equal(T.components, T2.components)
-    assert (T2.contravariant, T2.covariant) == (1, 3)
-    A = LinearOperator(rng.normal(size=(3, 3)))
-    A2 = LinearOperator.from_json(A.to_json())
-    assert np.array_equal(A.matrix, A2.matrix)
+    # the operator blob of the CLI artifacts survives JSON text exactly
+    A = LinearOperator(np.random.default_rng(1).normal(size=(3, 3)))
+    blob = json.loads(json.dumps(A.to_json()))
+    assert blob["dimension"] == 3
+    assert np.array_equal(np.array(blob["matrix"]), A.matrix)
