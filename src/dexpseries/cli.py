@@ -243,10 +243,12 @@ def cmd_convergence(args) -> int:
         raise InvalidInput("t values must lie in (0, 0.5]")
 
     comps = closed_form_components(_operators(cfg), max_degree=n)
+    t_values = sorted(t_values)
+    oracle_ops = dexp_oracle(cfg["model"], cfg["point"],
+                             np.outer(t_values, cfg["vector"]), cfg["steps"])
     rows = []
-    for t in sorted(t_values):
+    for t, oracle_op in zip(t_values, oracle_ops):
         truncated = sum(t**k * comp for k, comp in enumerate(comps))
-        oracle_op = dexp_oracle(cfg["model"], cfg["point"], t * cfg["vector"], cfg["steps"])
         rows.append({"t": t, "distance": float(np.linalg.norm(truncated - oracle_op.matrix))})
 
     distances = np.array([r["distance"] for r in rows])

@@ -1,10 +1,12 @@
 """Curvature, its high-order covariant derivatives, and the curvature operators.
 
-A manifold enters through a single chart: the model supplies exact Christoffel
-jets (truncated Taylor polynomials of Gamma^k_ij about any chart point).  From
+A manifold enters through a single chart: the model supplies Christoffel
+symbols with their first partials in closed form, and exact Christoffel jets
+(truncated Taylor polynomials of Gamma^k_ij about any chart point).  From
 those this module computes
 
-* the curvature tensor, with the fixed sign convention
+* the curvature tensor, pointwise from Gamma and d Gamma (any batch of
+  points), and as a polynomial jet, with the fixed sign convention
       R(X, Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z,
   i.e. componentwise, with storage order R[l, x, y, z] for (R(X,Y)Z)^l:
       R[l,i,j,k] = d_i Gamma^l_jk - d_j Gamma^l_ik
@@ -15,11 +17,11 @@ those this module computes
 * the Jacobi-type operators w -> (v^n . nabla^n R)(v, w) v built from them, and
   their compositions indexed by integer words.
 
-All derivatives are taken on truncated polynomial jets, so the only numerical
-error in this module is floating-point rounding.  The dense tower stores
-nabla^n R as a d^(n+4) array; it is the cross-check for the Taylor-mode route
-in taylor.py, which the CLI uses for the series, and it is the right-hand side
-of the oracle's transported-curvature derivative check.
+Higher derivatives are taken on truncated polynomial jets, so the only
+numerical error in this module is floating-point rounding.  The dense tower
+stores nabla^n R as a d^(n+4) array; it is the cross-check for the Taylor-mode
+route in taylor.py, which the CLI uses for the series, and it is the
+right-hand side of the oracle's transported-curvature derivative check.
 """
 
 from __future__ import annotations
@@ -41,31 +43,41 @@ class ChartDomainError(ValueError):
 class ManifoldModel:
     """A chart with a torsion-free affine connection.
 
-    Subclasses must implement christoffel_jet(x, order) returning the Taylor
-    polynomial of Gamma about x as a PolyTensor of shape (d, d, d) with layout
-    data[m, k, i, j] = Taylor coefficient of Gamma^k_ij.  Symmetry in (i, j) is
-    the torsion-free requirement; symmetry of the jets under permutation of the
-    derivative multi-index is automatic in the Taylor-coefficient encoding.
+    A model supplies christoffel(x), Gamma[..., k, i, j] = Gamma^k_ij at chart
+    points x of shape (..., d); christoffel_partials(x), the closed-form
+    [..., a, k, i, j] = d_a Gamma^k_ij; and christoffel_jet(x, order), the
+    Taylor polynomial of Gamma about one point x as a PolyTensor of shape
+    (d, d, d) with data[m, k, i, j] = Taylor coefficient of Gamma^k_ij.  The
+    ODE oracle uses only the first two, the Taylor route and the dense tower
+    only the jet.  Symmetry in (i, j) is the torsion-free requirement;
+    symmetry of the jets under permutation of the derivative multi-index is
+    automatic in the Taylor-coefficient encoding.
     """
 
     dimension: int
     name = "manifold"
     metric = None  # models carrying a metric override with a method x -> (d, d)
 
+    def christoffel(self, x) -> np.ndarray:
+        raise NotImplementedError
+
+    def christoffel_partials(self, x) -> np.ndarray:
+        raise NotImplementedError
+
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         raise NotImplementedError
 
-    def christoffel(self, x) -> np.ndarray:
-        """Gamma^k_ij at x; subclasses may override with a faster closed form."""
-        return self.christoffel_jet(np.asarray(x, dtype=float), 0).value
-
-    def in_domain(self, x) -> bool:
-        return True
+    def in_domain(self, x) -> np.ndarray:
+        """Boolean array of shape (...) for chart points of shape (..., d)."""
+        return np.ones(np.shape(x)[:-1], dtype=bool)
 
     def require_in_domain(self, x, time=None):
-        if not self.in_domain(np.asarray(x, dtype=float)):
+        x = np.asarray(x, dtype=float)
+        inside = self.in_domain(x)
+        if not np.all(inside):
+            bad = x[np.logical_not(inside)][0] if x.ndim > 1 else x
             at = "" if time is None else f" at t={time:.6g}"
-            raise ChartDomainError(f"point {np.asarray(x)} outside chart domain of {self.name}{at}",
+            raise ChartDomainError(f"point {bad} outside chart domain of {self.name}{at}",
                                    exit_time=time)
 
     def __repr__(self):
@@ -134,21 +146,23 @@ class CurvatureJet:
         return f"CurvatureJet(d={self.dimension}, max_order={self.max_order})"
 
 
+def riemann(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """R[..., l, i, j, k] by the four-term formula from Gamma and d Gamma[..., a]."""
+    gg = np.einsum("...lim,...mjk->...lijk", gamma, gamma)
+    return (np.einsum("...iljk->...lijk", dgamma) - np.einsum("...jlik->...lijk", dgamma)
+            + gg - np.einsum("...ljik->...lijk", gg))
+
+
 def curvature(model: ManifoldModel, x) -> DenseTensor:
     """Curvature tensor at x as a (1, 3) tensor, antisymmetric in the (X, Y) pair.
 
-    Built from Gamma and d Gamma at x alone, sharing no code with the dense
-    tower, so that the ODE oracle which calls it stays independent of it.
+    Built from the model's closed-form Gamma and d Gamma at x, sharing no code
+    with the dense tower or the jets, so that the ODE oracle which uses the
+    same formula (riemann) stays independent of them.
     """
     x = np.asarray(x, dtype=float)
     model.require_in_domain(x)
-    jet = model.christoffel_jet(x, 1)
-    g = jet.value  # g[l, j, k] = Gamma^l_jk
-    dg = np.stack([jet.diff(a).value for a in range(jet.dim)])  # dg[a] = d_a Gamma
-    gg = np.einsum("lim,mjk->lijk", g, g)
-    r = (np.einsum("iljk->lijk", dg) - np.einsum("jlik->lijk", dg)
-         + gg - np.einsum("ljik->lijk", gg))
-    return DenseTensor(1, 3, r)
+    return DenseTensor(1, 3, riemann(model.christoffel(x), model.christoffel_partials(x)))
 
 
 def curvature_jet(model: ManifoldModel, p, max_order: int) -> CurvatureJet:

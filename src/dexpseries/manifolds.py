@@ -1,8 +1,9 @@
 """Concrete chart models: flat space, round sphere, hyperbolic space, and
 seeded random polynomial connections.
 
-Every model supplies exact Christoffel jets (closed form or polynomial shift),
-so no finite differencing enters the curvature pipeline.
+Every model supplies Christoffel symbols and their first partials in closed
+form on batches of chart points, and exact Christoffel jets (closed form or
+polynomial shift), so no finite differencing enters the curvature pipeline.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ class FlatSpace(ManifoldModel):
 
     def christoffel(self, x) -> np.ndarray:
         d = self.dimension
-        return np.zeros((d, d, d))
+        return np.zeros(np.shape(x)[:-1] + (d, d, d))
+
+    def christoffel_partials(self, x) -> np.ndarray:
+        d = self.dimension
+        return np.zeros(np.shape(x)[:-1] + (d, d, d, d))
 
     def metric(self, x) -> np.ndarray:
         return np.eye(self.dimension)
@@ -44,7 +49,9 @@ class _ConformalModel(ManifoldModel):
 
     Christoffels follow the conformal rule with phi = log a - log u:
         Gamma^k_ij = dphi_i d_jk + dphi_j d_ik - dphi_k d_ij,
-        dphi_i = -2 sigma x_i / u.
+        dphi_i = -2 sigma x_i / u,
+    i.e. Gamma = w(x) A(x) with w = -2 sigma / u and A linear in x, so
+        d_a Gamma = d_a w A(x) + w A(e_a),    d_a w = 4 sigma^2 x_a / u^2.
     Jets come from expanding 1/u as a truncated geometric series about the
     base point, which is exact to the truncation order.
     """
@@ -57,8 +64,8 @@ class _ConformalModel(ManifoldModel):
         self._sigma = float(sigma)
         self._a = float(factor_num)
 
-    def _u(self, x) -> float:
-        return self._c0 + self._sigma * float(np.dot(x, x))
+    def _u(self, x):
+        return self._c0 + self._sigma * np.einsum("...i,...i->...", x, x)
 
     def conformal_factor(self, x) -> float:
         """lambda(x) with g = lambda^2 * I."""
@@ -70,17 +77,23 @@ class _ConformalModel(ManifoldModel):
 
     @staticmethod
     def _symbol_pattern(x: np.ndarray) -> np.ndarray:
-        """A[k,i,j] = x_i d_jk + x_j d_ik - x_k d_ij."""
-        d = len(x)
-        eye = np.eye(d)
-        return (np.einsum("i,jk->kij", x, eye)
-                + np.einsum("j,ik->kij", x, eye)
-                - np.einsum("k,ij->kij", x, eye))
+        """A[..., k, i, j] = x_i d_jk + x_j d_ik - x_k d_ij."""
+        eye = np.eye(x.shape[-1])
+        return (np.einsum("...i,jk->...kij", x, eye)
+                + np.einsum("...j,ik->...kij", x, eye)
+                - np.einsum("...k,ij->...kij", x, eye))
 
     def christoffel(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         w = -2.0 * self._sigma / self._u(x)
-        return w * self._symbol_pattern(x)
+        return w[..., None, None, None] * self._symbol_pattern(x)
+
+    def christoffel_partials(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        u = self._u(x)[..., None, None, None, None]
+        dw = 4.0 * self._sigma**2 * x[..., :, None, None, None] / (u * u)
+        return (dw * self._symbol_pattern(x)[..., None, :, :, :]
+                + (-2.0 * self._sigma / u) * self._symbol_pattern(np.eye(self.dimension)))
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
@@ -136,8 +149,8 @@ class HyperbolicSpace(_ConformalModel):
     def __init__(self, dimension: int):
         super().__init__(dimension, c0=1.0, sigma=-1.0, factor_num=2.0)
 
-    def in_domain(self, x) -> bool:
-        return float(np.dot(x, x)) < 1.0
+    def in_domain(self, x) -> np.ndarray:
+        return np.einsum("...i,...i->...", x, x) < 1.0
 
 
 class PolynomialConnection(ManifoldModel):
@@ -166,6 +179,8 @@ class PolynomialConnection(ManifoldModel):
         raw = rng.uniform(-self.scale, self.scale, size=(len(exps), d, d, d))
         self.coefficients = 0.5 * (raw + raw.swapaxes(2, 3))
         self._exps = exps
+        self._lowered_exps = np.clip(exps[None, :, :] - np.eye(d, dtype=exps.dtype)[:, None, :],
+                                     0, None)  # [a, s] = exps[s] - 1_a, floored at 0
 
         # shift tables: binomials and exponent differences for recentering,
         # target monomials are the same set (a shifted degree-D polynomial has
@@ -179,13 +194,19 @@ class PolynomialConnection(ManifoldModel):
         binom = np.prod(comb(ea, np.minimum(eb, ea)), axis=2)
         self._shift_binom = np.where(valid, binom, 0.0)
 
-    def in_domain(self, x) -> bool:
-        return float(np.dot(x, x)) < 1.0
+    def in_domain(self, x) -> np.ndarray:
+        return np.einsum("...i,...i->...", x, x) < 1.0
 
     def christoffel(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        weights = np.prod(x[None, :] ** self._exps, axis=1)
-        return np.einsum("s,skij->kij", weights, self.coefficients)
+        weights = np.prod(x[..., None, :] ** self._exps, axis=-1)
+        return np.einsum("...s,skij->...kij", weights, self.coefficients)
+
+    def christoffel_partials(self, x) -> np.ndarray:
+        # d_a x^e = e_a x^(e - 1_a): lowered exponents times the old exponent
+        x = np.asarray(x, dtype=float)
+        weights = self._exps.T * np.prod(x[..., None, None, :] ** self._lowered_exps, axis=-1)
+        return np.einsum("...as,skij->...akij", weights, self.coefficients)
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)

@@ -1,10 +1,11 @@
 """Independent ODE ground truth for the transported differential.
 
 Everything here is built from fixed-step classical RK4 integration of chart
-ODEs, using only pointwise Christoffel symbols and the pointwise curvature
-formed from Gamma and its first partials (geometry.curvature).  The Taylor
-route never enters; the dense covariant-derivative tower supplies only the
-prediction that the derivative check compares against.  The three pillars:
+ODEs, using only the models' closed-form Christoffel symbols, their closed-form
+first partials, and the curvature formed from the two (geometry.riemann).
+Neither christoffel_jet, the Taylor route nor the dense tower enters; the
+tower supplies only the prediction that the derivative check compares against.
+The three pillars:
 
 * geodesics:           x'' = -Gamma(x)(x', x')
 * parallel transport:  u'  = -Gamma(x)(x', u)
@@ -17,8 +18,14 @@ J(1).  The transported curvature operator and its t-derivatives at 0 (computed
 with high-order central stencils plus Richardson extrapolation) provide the
 remaining cross-checks against the jet machinery.
 
-Trajectories are stored on a half-step grid (2*steps + 1 nodes) so that the
-linear ODEs along the curve can take full RK4 steps with exact node data.
+Every entry point takes one velocity (d,) or a batch (B, d); a batch gives a
+list of LinearOperators.  RK4 advances all B geodesics in lock step with one
+batched christoffel call per stage and checks the chart domain after every
+step, so the earliest exit time is reported.  Trajectories are stored on a
+half-step grid (2*steps + 1 nodes) so that the linear ODEs along the curve take
+full RK4 steps with exact node data; they reuse Gamma kept from the first RK4
+stage at each node, and curvature at all nodes takes one christoffel_partials
+call.
 """
 
 from __future__ import annotations
@@ -29,17 +36,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import ManifoldModel, curvature, curvature_jet, jacobi_operator
+from .geometry import ManifoldModel, curvature_jet, jacobi_operator, riemann
 from .tensors import LinearOperator
 
 
 @dataclass
 class GeodesicTrajectory:
-    """Chart positions and velocities on the grid t_0 = 0 < ... < t_M = 1."""
+    """Chart positions, velocities and Christoffel symbols on the grid
+    t_0 = 0 < ... < t_M = 1; node axis first, then any batch axis."""
 
     times: np.ndarray
     positions: np.ndarray
     velocities: np.ndarray
+    christoffels: np.ndarray
 
     @property
     def endpoint(self) -> np.ndarray:
@@ -63,11 +72,19 @@ class TransportFrame:
         return self.frames[-1]
 
 
-def integrate_geodesic(model: ManifoldModel, p, v, steps: int) -> GeodesicTrajectory:
-    """RK4 integration of the geodesic with gamma(0) = p, gamma'(0) = v on [0, 1].
+def _as_operators(matrices: np.ndarray, v: np.ndarray):
+    """One LinearOperator for a single velocity, a list of them for a batch."""
+    if v.ndim == 1:
+        return LinearOperator(matrices)
+    return [LinearOperator(m) for m in matrices]
 
-    The trajectory is stored at 2*steps + 1 nodes (every half step).  Leaving
-    the chart domain raises ChartDomainError carrying the exit time.
+
+def integrate_geodesic(model: ManifoldModel, p, v, steps: int) -> GeodesicTrajectory:
+    """RK4 integration of the geodesics with gamma(0) = p, gamma'(0) = v on [0, 1].
+
+    v is one velocity (d,) or a batch (B, d), all integrated in lock step.  The
+    trajectory is stored at 2*steps + 1 nodes (every half step).  Leaving the
+    chart domain raises ChartDomainError carrying the earliest exit time.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
@@ -77,36 +94,39 @@ def integrate_geodesic(model: ManifoldModel, p, v, steps: int) -> GeodesicTrajec
 
     n_fine = 2 * steps
     h = 1.0 / n_fine
+    d = model.dimension
     times = np.linspace(0.0, 1.0, n_fine + 1)
-    positions = np.empty((n_fine + 1, model.dimension))
+    positions = np.empty((n_fine + 1,) + v.shape)
     velocities = np.empty_like(positions)
-    positions[0], velocities[0] = p, v
+    gammas = np.empty(positions.shape + (d, d))
 
-    def acc(x, u):
-        gamma = model.christoffel(x)
-        return -np.einsum("kij,i,j->k", gamma, u, u)
+    def acc(gamma, u):
+        return -np.einsum("...kij,...i,...j->...k", gamma, u, u)
 
-    x, u = p, v
+    x, u = np.broadcast_to(p, v.shape), v
+    positions[0], velocities[0] = x, u
     for k in range(n_fine):
-        k1x, k1u = u, acc(x, u)
-        k2x, k2u = u + 0.5 * h * k1u, acc(x + 0.5 * h * k1x, u + 0.5 * h * k1u)
-        k3x, k3u = u + 0.5 * h * k2u, acc(x + 0.5 * h * k2x, u + 0.5 * h * k2u)
-        k4x, k4u = u + h * k3u, acc(x + h * k3x, u + h * k3u)
+        gammas[k] = model.christoffel(x)
+        k1x, k1u = u, acc(gammas[k], u)
+        k2x, k2u = u + 0.5 * h * k1u, acc(model.christoffel(x + 0.5 * h * k1x), u + 0.5 * h * k1u)
+        k3x, k3u = u + 0.5 * h * k2u, acc(model.christoffel(x + 0.5 * h * k2x), u + 0.5 * h * k2u)
+        k4x, k4u = u + h * k3u, acc(model.christoffel(x + h * k3x), u + h * k3u)
         x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
         u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         model.require_in_domain(x, time=times[k + 1])
         positions[k + 1], velocities[k + 1] = x, u
-    return GeodesicTrajectory(times, positions, velocities)
+    gammas[-1] = model.christoffel(x)
+    return GeodesicTrajectory(times, positions, velocities, gammas)
 
 
-def _transport_generators(model: ManifoldModel, traj: GeodesicTrajectory) -> np.ndarray:
+def _transport_generators(traj: GeodesicTrajectory) -> np.ndarray:
     """A(t_k) with u' = A u for parallel transport: A = -Gamma(x)(x', .) at each node."""
-    gammas = np.stack([model.christoffel(x) for x in traj.positions])
-    return -np.einsum("nkij,ni->nkj", gammas, traj.velocities)
+    return -np.einsum("n...kij,n...i->n...kj", traj.christoffels, traj.velocities)
 
 
 def _integrate_linear(a_nodes: np.ndarray, times: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """RK4 for Y' = A(t) Y, A given on a half-step grid; returns Y at the even nodes."""
+    """RK4 for Y' = A(t) Y, A given on a half-step grid with any batch axes after
+    the node axis; returns Y at the even nodes."""
     n_steps = (len(times) - 1) // 2
     out = np.empty((n_steps + 1,) + y0.shape)
     out[0] = y0
@@ -124,39 +144,40 @@ def _integrate_linear(a_nodes: np.ndarray, times: np.ndarray, y0: np.ndarray) ->
 
 
 def transport_frame(model: ManifoldModel, traj: GeodesicTrajectory) -> TransportFrame:
-    """Parallel transport of the full coordinate basis along the trajectory."""
-    d = model.dimension
-    a_nodes = _transport_generators(model, traj)
-    frames = _integrate_linear(a_nodes, traj.times, np.eye(d))
+    """Parallel transport of the full coordinate basis along the trajectory
+    (each trajectory of a batch); Gamma comes from the stored nodes."""
+    identity = np.broadcast_to(np.eye(model.dimension), traj.christoffels.shape[1:-1])
+    frames = _integrate_linear(_transport_generators(traj), traj.times, identity)
     return TransportFrame(traj.times[::2], frames)
 
 
-def dexp_oracle(model: ManifoldModel, p, v, steps: int) -> LinearOperator:
+def dexp_oracle(model: ManifoldModel, p, v, steps: int):
     """Transported differential of the exponential map via Jacobi fields.
 
     For each basis vector w, the Jacobi field with J(0) = 0, (DJ/dt)(0) = w is
     integrated along the geodesic; the operator's column is the end frame's
-    inverse applied to J(1).  All columns integrate jointly as one matrix ODE.
+    inverse applied to J(1).  All columns, and the transport frame itself,
+    integrate jointly as one matrix ODE (per batch member).
     """
+    v = np.asarray(v, dtype=float)
     traj = integrate_geodesic(model, p, v, steps)
     d = model.dimension
-    a_nodes = _transport_generators(model, traj)
-    r_nodes = np.stack([curvature(model, x).components for x in traj.positions])
-    rj_nodes = np.einsum("nlijk,ni,nk->nlj", r_nodes, traj.velocities, traj.velocities)
+    a_nodes = _transport_generators(traj)
+    r_nodes = riemann(traj.christoffels, model.christoffel_partials(traj.positions))
+    rj_nodes = np.einsum("n...lijk,n...i,n...k->n...lj", r_nodes, traj.velocities,
+                         traj.velocities)
 
-    # state Y = [J; K] with J' = K + A J and K' = RJ J + A K
-    a_big = np.zeros((len(traj.times), 2 * d, 2 * d))
-    a_big[:, :d, :d] = a_nodes
-    a_big[:, d:, d:] = a_nodes
-    a_big[:, :d, d:] = np.eye(d)
-    a_big[:, d:, :d] = rj_nodes
+    # state Y = [J; K; F] with J' = K + A J, K' = RJ J + A K and F' = A F
+    a_big = np.zeros(a_nodes.shape[:-2] + (3 * d, 3 * d))
+    for b in range(3):
+        a_big[..., b * d:(b + 1) * d, b * d:(b + 1) * d] = a_nodes
+    a_big[..., :d, d:2 * d] = np.eye(d)
+    a_big[..., d:2 * d, :d] = rj_nodes
 
-    y0 = np.vstack([np.zeros((d, d)), np.eye(d)])
-    states = _integrate_linear(a_big, traj.times, y0)
-    j_end = states[-1][:d]
-
-    frames = _integrate_linear(a_nodes, traj.times, np.eye(d))
-    return LinearOperator(np.linalg.solve(frames[-1], j_end))
+    y0 = np.zeros(v.shape[:-1] + (3 * d, d))
+    y0[..., d:2 * d, :] = y0[..., 2 * d:, :] = np.eye(d)
+    end = _integrate_linear(a_big, traj.times, y0)[-1]
+    return _as_operators(np.linalg.solve(end[..., 2 * d:, :], end[..., :d, :]), v)
 
 
 def dexp_oracle_fd(model: ManifoldModel, p, v, steps: int, fd_step: float = 1e-3) -> LinearOperator:
@@ -165,41 +186,34 @@ def dexp_oracle_fd(model: ManifoldModel, p, v, steps: int, fd_step: float = 1e-3
     Perturbs the initial velocity along each basis direction and transports the
     endpoint differences back; one Richardson level on the step.  Catches
     errors shared along the Jacobi route; noisier, not used for acceptance.
+    The base geodesic and all 4d perturbed ones are integrated as one batch.
     """
-    p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     d = model.dimension
-    frame_end = transport_frame(model, integrate_geodesic(model, p, v, steps)).end
+    hs = (fd_step / 2, fd_step)
+    offsets = [s * h * e for h in hs for e in np.eye(d) for s in (1.0, -1.0)]
+    traj = integrate_geodesic(model, p, v + np.array([np.zeros(d)] + offsets), steps)
+    frame_end = transport_frame(model, traj).end[0]
 
-    def column(b, h):
-        e = np.zeros(d)
-        e[b] = h
-        plus = integrate_geodesic(model, p, v + e, steps).endpoint
-        minus = integrate_geodesic(model, p, v - e, steps).endpoint
-        return (plus - minus) / (2.0 * h)
-
-    cols = []
-    for b in range(d):
-        c = (4.0 * column(b, fd_step / 2) - column(b, fd_step)) / 3.0
-        cols.append(c)
-    return LinearOperator(np.linalg.solve(frame_end, np.stack(cols, axis=1)))
+    ends = traj.endpoint[1:].reshape(2, d, 2, d)  # [step, direction, sign]
+    columns = [(ends[i, :, 0] - ends[i, :, 1]) / (2.0 * h) for i, h in enumerate(hs)]
+    cols = (4.0 * columns[0] - columns[1]) / 3.0
+    return LinearOperator(np.linalg.solve(frame_end, cols.T))
 
 
-def transported_curvature(model: ManifoldModel, p, v, steps: int) -> LinearOperator:
+def transported_curvature(model: ManifoldModel, p, v, steps: int):
     """The operator w -> F^-1 R_end(F v, F w) F v with F the end transport frame.
 
     Curvature is evaluated at the geodesic endpoint and conjugated back; both
-    outer slots carry the transported v.
+    outer slots carry the transported v.  v may be a batch, as everywhere here.
     """
-    p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
     traj = integrate_geodesic(model, p, v, steps)
-    frame = transport_frame(model, traj)
-    f = frame.end
-    r_end = curvature(model, traj.endpoint).components
-    fv = f @ v
-    mid = np.einsum("lijk,i,k->lj", r_end, fv, fv)
-    return LinearOperator(np.linalg.solve(f, mid @ f))
+    f = transport_frame(model, traj).end
+    r_end = riemann(traj.christoffels[-1], model.christoffel_partials(traj.endpoint))
+    fv = np.einsum("...ij,...j->...i", f, v)
+    mid = np.einsum("...lijk,...i,...k->...lj", r_end, fv, fv)
+    return _as_operators(np.linalg.solve(f, mid @ f), v)
 
 
 # ----------------------------------------------------------------------------
@@ -269,11 +283,9 @@ class DerivativeCheck:
 def _transported_curvature_samples(model, p, v, h: float, steps: int) -> dict[int, np.ndarray]:
     """Samples of t -> transported_curvature(t v) at t = k h/2 for the stencils."""
     ks = sorted({2 * s for s in STENCIL_OFFSETS} | set(STENCIL_OFFSETS))
-    samples = {}
-    for k in ks:
-        t = 0.5 * h * k
-        samples[k] = transported_curvature(model, p, t * np.asarray(v, dtype=float), steps).matrix
-    return samples
+    ts = 0.5 * h * np.array(ks, dtype=float)
+    ops = transported_curvature(model, p, ts[:, None] * np.asarray(v, dtype=float), steps)
+    return {k: op.matrix for k, op in zip(ks, ops)}
 
 
 def _fd_derivative(samples, h: float, order: int, d: int) -> np.ndarray:

@@ -60,14 +60,21 @@ def monomial_indices(dim: int, degree: int) -> dict:
 
 @lru_cache(maxsize=None)
 def product_table(dim: int, deg_a: int, deg_b: int, deg_out: int) -> np.ndarray:
-    """(Ma, Mb) table: index of monomial e_a + e_b among degree <= deg_out, or -1."""
+    """(Ma, Mb) table: index of monomial e_a + e_b among degree <= deg_out, or -1.
+
+    Mixed-radix keys e . base^k (every entry < base) add under products and
+    are looked up among the sorted output keys."""
     ea = monomial_exponents(dim, deg_a)
     eb = monomial_exponents(dim, deg_b)
-    lookup = monomial_indices(dim, deg_out)
-    table = np.full((len(ea), len(eb)), -1, dtype=np.int64)
-    for i, a in enumerate(ea):
-        for j, b in enumerate(eb):
-            table[i, j] = lookup.get(tuple(a + b), -1)
+    eo = monomial_exponents(dim, deg_out)
+    base = max(deg_a + deg_b, deg_out) + 1
+    dtype = np.int64 if base**dim < 2**63 else object  # Python integers past int64
+    r = np.array([base**k for k in range(dim)], dtype=dtype)
+    keys = (ea.astype(dtype) @ r)[:, None] + (eb.astype(dtype) @ r)[None, :]
+    out_keys = eo.astype(dtype) @ r
+    order = np.argsort(out_keys)
+    pos = np.minimum(np.searchsorted(out_keys[order], keys), len(eo) - 1)
+    table = np.where(out_keys[order][pos] == keys, order[pos], -1).astype(np.int64)
     table.flags.writeable = False
     return table
 

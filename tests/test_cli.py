@@ -289,3 +289,12 @@ def test_christoffel_jet_over_budget_is_invalid(tmp_path, capsys, command):
     cfg = {"manifold": {"kind": "flat", "dimension": 10}, "point": [0.0] * 10,
            "vector": [0.01] * 10, "max_degree": 12, "steps": 200}
     assert_invalid([command, "--config", write_config(tmp_path, cfg)], capsys)
+
+
+@pytest.mark.parametrize("command, extra", [("lemma2", ["--n", "2"]), ("convergence", [])])
+def test_one_geodesic_of_the_batch_leaving_the_chart_is_invalid(tmp_path, capsys, command, extra):
+    # the stencil samples beyond t = 0 (lemma2) and the larger t values
+    # (convergence) leave |x| < 1; the others stay inside
+    cfg = {"manifold": {"kind": "polynomial", "dimension": 2, "degree": 2, "scale": 0.2, "seed": 5},
+           "point": [0.97, 0.0], "vector": [0.45, 0.0], "max_degree": 6, "steps": 150}
+    assert_invalid([command, "--config", write_config(tmp_path, cfg)] + extra, capsys)

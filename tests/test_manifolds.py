@@ -135,3 +135,51 @@ def test_from_config():
         from_config({"dimension": 2})
     with pytest.raises(ValueError):
         from_config({"kind": "flat", "dimension": 2, "radius": 1.0})
+
+
+@pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")
+def test_batched_christoffel_is_exact_stack_of_pointwise_calls(model):
+    rng = np.random.default_rng(5)
+    pts = np.array(seeded_points(model, 12, rng))
+    gamma = model.christoffel(pts)
+    assert gamma.shape == (len(pts),) + (model.dimension,) * 3
+    assert np.array_equal(gamma, gamma.swapaxes(-1, -2))
+    assert np.array_equal(gamma, np.stack([model.christoffel(p) for p in pts]))
+    partials = model.christoffel_partials(pts)
+    assert np.array_equal(partials, np.stack([model.christoffel_partials(p) for p in pts]))
+    # a (2, N/2, d) batch keeps its leading axes
+    assert np.array_equal(model.christoffel(pts.reshape(2, -1, model.dimension)),
+                          gamma.reshape((2, -1) + gamma.shape[1:]))
+
+
+@pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")
+def test_in_domain_is_vectorised(model):
+    rng = np.random.default_rng(6)
+    pts = rng.uniform(-0.9, 0.9, size=(20, model.dimension))
+    inside = model.in_domain(pts)
+    assert inside.shape == (20,)
+    assert list(inside) == [bool(model.in_domain(p)) for p in pts]
+
+
+PARTIALS_MODELS = [
+    flat(3),
+    sphere(2, 1.0),
+    sphere(3, 2.0),
+    hyperbolic(3),
+    polynomial_connection(3, 3, 0.5, 42),
+    polynomial_connection(4, 3, 0.5, 7),
+]
+
+
+@pytest.mark.parametrize("model", PARTIALS_MODELS, ids=lambda m: f"{m.name}{m.dimension}")
+def test_christoffel_partials_match_jet_and_central_difference(model):
+    rng = np.random.default_rng(7)
+    d, h = model.dimension, 1e-5
+    for p in seeded_points(model, 4, rng):
+        partials = model.christoffel_partials(p)
+        assert partials.shape == (d,) * 4
+        jet = model.christoffel_jet(p, 1)
+        for a, e in enumerate(np.eye(d)):
+            assert np.max(np.abs(partials[a] - jet.diff(a).value)) <= 1e-13
+            central = (model.christoffel(p + h * e) - model.christoffel(p - h * e)) / (2 * h)
+            assert np.max(np.abs(partials[a] - central)) <= 1e-7

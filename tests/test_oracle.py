@@ -279,24 +279,73 @@ def test_curvature_derivative_rejects_high_order():
         curvature_derivative_table(model, np.zeros(2), np.array([0.1, 0.0]), [5], steps=100)
 
 
+def _oracle_outputs(m, p, v):
+    traj = integrate_geodesic(m, p, v, 100)
+    return [traj.positions, traj.velocities, transport_frame(m, traj).frames,
+            dexp_oracle(m, p, v, 100).matrix, dexp_oracle_fd(m, p, v, 100).matrix,
+            transported_curvature(m, p, v, 100).matrix]
+
+
 def test_oracle_avoids_dense_machinery(monkeypatch):
-    # the oracle's pointwise curvature must not reach the dense tower it checks
+    # the oracle runs on closed-form Gamma and d Gamma alone: it reaches
+    # neither christoffel_jet nor the dense tower it checks
     cases = [(flat(3), np.zeros(3), np.array([0.2, -0.1, 0.15])),
              (polynomial_connection(3, 3, 0.5, 42), np.array([0.05, 0.0, -0.1]),
               np.array([0.2, -0.1, 0.15])),
              (polynomial_connection(4, 3, 0.5, 7), np.zeros(4),
               np.array([0.1, 0.15, -0.05, 0.1]))]
-    expected = [(dexp_oracle(m, p, v, 100).matrix, transported_curvature(m, p, v, 100).matrix)
-                for m, p, v in cases]
+    expected = [_oracle_outputs(*case) for case in cases]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense-tower code called by the oracle")
+        raise AssertionError("jet or dense-tower code called by the oracle")
 
     for module in (dexpseries.polyjet, dexpseries.geometry, dexpseries.manifolds):
         if hasattr(module, "contract"):
             monkeypatch.setattr(module, "contract", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "covariant_derivative", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "curvature_polynomial", forbidden)
-    for (m, p, v), (jacobi, transported) in zip(cases, expected):
-        assert np.array_equal(dexp_oracle(m, p, v, 100).matrix, jacobi)
-        assert np.array_equal(transported_curvature(m, p, v, 100).matrix, transported)
+    for m, _, _ in cases:
+        monkeypatch.setattr(type(m), "christoffel_jet", forbidden)
+    for case, want in zip(cases, expected):
+        for got, ref in zip(_oracle_outputs(*case), want):
+            assert np.array_equal(got, ref)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("model, p",
+                         [(polynomial_connection(3, 3, 0.5, 42), np.array([0.05, 0.0, -0.1])),
+                          (sphere(2, 1.0), np.array([0.1, 0.05]))],
+                         ids=["polynomial3", "sphere2"])
+def test_batch_rows_match_single_calls(model, p):
+    rng = np.random.default_rng(8)
+    vs = rng.uniform(-0.3, 0.3, size=(4, model.dimension))
+    traj = integrate_geodesic(model, p, vs, 120)
+    jacobi = dexp_oracle(model, p, vs, 120)
+    transported = transported_curvature(model, p, vs, 120)
+    assert len(jacobi) == len(transported) == len(vs)
+    for b, v in enumerate(vs):
+        single = integrate_geodesic(model, p, v, 120)
+        assert _rel(traj.positions[:, b], single.positions) <= 1e-14
+        assert _rel(traj.velocities[:, b], single.velocities) <= 1e-14
+        assert _rel(jacobi[b].matrix, dexp_oracle(model, p, v, 120).matrix) <= 1e-14
+        assert _rel(transported[b].matrix, transported_curvature(model, p, v, 120).matrix) <= 1e-14
+
+
+def test_batch_chart_exit_reports_earliest_time():
+    model = polynomial_connection(2, 2, 0.2, 5)
+    p = np.array([0.9, 0.0])
+    vs = np.array([[0.05, 0.0], [5.0, 0.0], [3.0, 0.0]])
+    times = []
+    for v in vs[1:]:
+        with pytest.raises(ChartDomainError) as info:
+            integrate_geodesic(model, p, v, 100)
+        times.append(info.value.exit_time)
+    assert times[0] < times[1]
+    integrate_geodesic(model, p, vs[0], 100)  # stays inside
+    for call in (integrate_geodesic, dexp_oracle, transported_curvature):
+        with pytest.raises(ChartDomainError) as info:
+            call(model, p, vs, 100)
+        assert info.value.exit_time == times[0]

@@ -163,3 +163,26 @@ def test_arithmetic_and_alignment():
     assert np.allclose((2.0 * a).value, 2 * np.eye(2))
     with pytest.raises(ValueError):
         a + PolyTensor.constant(3, 2, np.eye(2))
+
+
+def reference_product_table(dim, deg_a, deg_b, deg_out):
+    """The plain double loop over exponent pairs."""
+    lookup = {tuple(e): i for i, e in enumerate(monomial_exponents(dim, deg_out))}
+    ea, eb = monomial_exponents(dim, deg_a), monomial_exponents(dim, deg_b)
+    table = np.full((len(ea), len(eb)), -1, dtype=np.int64)
+    for i, a in enumerate(ea):
+        for j, b in enumerate(eb):
+            table[i, j] = lookup.get(tuple(a + b), -1)
+    return table
+
+
+@pytest.mark.parametrize("args", [(1, 3, 2, 5), (2, 3, 3, 6), (3, 2, 2, 4), (3, 4, 2, 3),
+                                  (4, 3, 3, 2), (3, 2, 1, 7), (2, 0, 0, 0), (5, 3, 3, 6),
+                                  (40, 1, 1, 2)],
+                         ids=lambda a: "-".join(map(str, a)))
+def test_product_table_matches_reference_loop(args):
+    # includes deg_out below and above deg_a + deg_b, and a case whose
+    # mixed-radix keys exceed int64 (3**40)
+    table = product_table(*args)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, reference_product_table(*args))
