@@ -40,6 +40,8 @@ MIN_STEPS = 100
 MAX_STEPS = 100_000  # the oracle stores 2*steps + 1 trajectory nodes
 MAX_JET_BYTES = 2**29  # Christoffel jet plus first partials on the Taylor route
 DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
+CONFIG_FIELDS = frozenset({"manifold", "point", "vector", "max_degree", "steps", "fd_step",
+                           "tolerance", "t_values", "n"})
 
 
 class InvalidInput(ValueError):
@@ -87,6 +89,9 @@ def _load_config(args) -> dict:
 
     if not isinstance(cfg, dict):
         raise InvalidInput("config must be a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_FIELDS)
+    if unknown:
+        raise InvalidInput(f"unknown config fields: {unknown}")
     manifold_cfg = cfg.get("manifold") or {}
     if not isinstance(manifold_cfg, dict):
         raise InvalidInput("manifold must be a JSON object")

@@ -136,16 +136,17 @@ def evaluate_recurrence(source, v=None, max_degree: int = 8) -> SeriesEvaluation
     return _package(recurrence_components(source, v, max_degree), max_degree)
 
 
-def evaluate_symmetric(jet: CurvatureJet, v, terms: int) -> LinearOperator:
+def evaluate_symmetric(source, v=None, terms: int = 4) -> LinearOperator:
     """Locally symmetric specialization: sum_k r0^k / (2k+1)!.
 
-    On models with vanishing covariant curvature derivatives this equals the
-    full series truncated at degree 2*terms.
+    `source` is as for closed_form_components; only r_0(v) is read.  On models
+    with vanishing covariant curvature derivatives this equals the full series
+    truncated at degree 2*terms.
     """
     if terms < 0:
         raise ValueError("terms must be nonnegative")
-    d = jet.dimension
-    r0 = jacobi_operator(jet, v, 0).matrix
+    r0 = _operator_list(source, v, 0)[0]
+    d = r0.shape[0]
     acc = np.eye(d)
     power = np.eye(d)
     for k in range(1, terms + 1):
@@ -154,19 +155,21 @@ def evaluate_symmetric(jet: CurvatureJet, v, terms: int) -> LinearOperator:
     return LinearOperator(acc)
 
 
-def ode_residual(jet: CurvatureJet, v, max_degree: int, t: float) -> float:
+def ode_residual(source, v=None, max_degree: int = 8, t: float = 1.0) -> float:
     """Residual of the defining second-order ODE on degree-truncated data.
 
-    With E(t) = sum_n t^n E_n and the transported-curvature operator truncated
-    as sum_{n>=2} t^n/(n-2)! * jacobi_operator(n-2), the combination
+    `source` is as for closed_form_components.  With E(t) = sum_n t^n E_n and
+    the transported-curvature operator truncated as
+    sum_{n>=2} t^n/(n-2)! * r_{n-2}(v), the combination
         (t^2 d^2/dt^2 + 2 t d/dt) E(t) - R(t) E(t)
     vanishes through degree max_degree, so the returned Frobenius norm is
     O(t^(max_degree+1)) as t -> 0.
     """
     if abs(t) > 1.0:
         raise ValueError("the residual diagnostic is defined for |t| <= 1")
-    comps = recurrence_components(jet, v, max_degree)
-    d = jet.dimension
+    ops = _operator_list(source, v, max_degree)
+    comps = recurrence_components(ops, max_degree=max_degree)
+    d = ops[0].shape[0]
     lhs = np.zeros((d, d))
     value = np.zeros((d, d))
     for n, comp in enumerate(comps):
@@ -175,5 +178,5 @@ def ode_residual(jet: CurvatureJet, v, max_degree: int, t: float) -> float:
         lhs += n * (n + 1) * tn * comp
     rop = np.zeros((d, d))
     for n in range(2, max_degree + 1):
-        rop += (t**n / math.factorial(n - 2)) * jacobi_operator(jet, v, n - 2).matrix
+        rop += (t**n / math.factorial(n - 2)) * ops[n - 2]
     return float(np.linalg.norm(lhs - rop @ value))

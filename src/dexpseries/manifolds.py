@@ -2,8 +2,10 @@
 seeded random polynomial connections.
 
 Every model supplies Christoffel symbols and their first partials in closed
-form on batches of chart points, and exact Christoffel jets (closed form or
-polynomial shift), so no finite differencing enters the curvature pipeline.
+form on batches of chart points, and exact Christoffel jets (zero, the Taylor
+division recurrence for the conformal models, or the polynomial shift), so no
+finite differencing and no multivariate polynomial product enters the
+curvature pipeline.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import numpy as np
 
 from .geometry import ManifoldModel
-from .polyjet import PolyTensor, contract, monomial_exponents, monomial_indices, reciprocal
+from .polyjet import PolyTensor, monomial_exponents, monomial_indices
 
 MAX_POLY_TABLE_BYTES = 2**26  # from_config: polynomial shift tables plus coefficients
 
@@ -52,8 +54,13 @@ class _ConformalModel(ManifoldModel):
         dphi_i = -2 sigma x_i / u,
     i.e. Gamma = w(x) A(x) with w = -2 sigma / u and A linear in x, so
         d_a Gamma = d_a w A(x) + w A(e_a),    d_a w = 4 sigma^2 x_a / u^2.
-    Jets come from expanding 1/u as a truncated geometric series about the
-    base point, which is exact to the truncation order.
+    Jets come from the division rule of Taylor arithmetic: about the base
+    point x, u(x + xi) = u(x) + 2 sigma x.xi + sigma |xi|^2 and
+    u Gamma = -2 sigma A(x + xi), so each Taylor coefficient g[e] of Gamma is
+        g[e] = (s[e] - sum_{a in e} (2 sigma x_a g[e - 1_a] + sigma g[e - 2_a])) / u(x)
+    in graded monomial order, with the source s[0] = -2 sigma A(x),
+    s[1_a] = -2 sigma A(e_a), s[e] = 0 above degree one, and the g[e - 2_a]
+    term only where e_a >= 2.  The result is exact to the truncation order.
     """
 
     def __init__(self, dimension: int, c0: float, sigma: float, factor_num: float):
@@ -97,31 +104,22 @@ class _ConformalModel(ManifoldModel):
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
-        d = self.dimension
-        lookup = monomial_indices(d, order) if order >= 1 else None
-
-        u = PolyTensor.zeros(d, min(order, 2), ())
-        u.data[0] = self._u(x)
-        if order >= 1:
-            sub = monomial_indices(d, u.degree)
-            for m in range(d):
-                e = tuple(1 if k == m else 0 for k in range(d))
-                u.data[sub[e]] = 2.0 * self._sigma * x[m]
-            if order >= 2:
-                for m in range(d):
-                    e = tuple(2 if k == m else 0 for k in range(d))
-                    u.data[sub[e]] = self._sigma
-        w = reciprocal(u, order) * (-2.0 * self._sigma)
-
-        pattern = PolyTensor.zeros(d, order, (d, d, d))
-        pattern.data[0] = self._symbol_pattern(x)
-        if order >= 1:
-            for m in range(d):
-                e = tuple(1 if k == m else 0 for k in range(d))
-                unit = np.zeros(d)
-                unit[m] = 1.0
-                pattern.data[lookup[e]] = self._symbol_pattern(unit)
-        return contract(",kij->kij", w.extend(order), pattern, order)
+        d, sigma, u0 = self.dimension, self._sigma, self._u(x)
+        source = -2.0 * sigma * self._symbol_pattern(np.vstack([x, np.eye(d)]))  # A(x), A(e_a)
+        lookup = monomial_indices(d, order)
+        jet = PolyTensor.zeros(d, order, (d, d, d))
+        g = jet.data
+        for e, m in lookup.items():  # graded order: lower monomials are solved first
+            total = sum(e)
+            acc = source[0] if total == 0 else source[1 + e.index(1)] if total == 1 else 0.0
+            for a in range(d):
+                if e[a] == 0:
+                    continue
+                acc = acc - 2.0 * sigma * x[a] * g[lookup[e[:a] + (e[a] - 1,) + e[a + 1:]]]
+                if e[a] >= 2:
+                    acc = acc - sigma * g[lookup[e[:a] + (e[a] - 2,) + e[a + 1:]]]
+            g[m] = acc / u0
+        return jet
 
 
 class Sphere(_ConformalModel):

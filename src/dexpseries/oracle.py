@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -236,7 +237,8 @@ def _solve_fraction_system(matrix, rhs):
     return [a[r][n] for r in range(n)]
 
 
-def fd_weights(offsets: tuple[int, ...], order: int) -> list[Fraction]:
+@lru_cache(maxsize=None)
+def fd_weights(offsets: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
     """Exact stencil weights for the order-th derivative on integer offsets.
 
     sum_s w_s f(s h) = h^order f^(order)(0) + higher-order terms.
@@ -246,9 +248,10 @@ def fd_weights(offsets: tuple[int, ...], order: int) -> list[Fraction]:
         raise ValueError("stencil too short for requested derivative order")
     matrix = [[Fraction(s) ** m for s in offsets] for m in range(n)]
     rhs = [Fraction(math.factorial(order)) if m == order else Fraction(0) for m in range(n)]
-    return _solve_fraction_system(matrix, rhs)
+    return tuple(_solve_fraction_system(matrix, rhs))
 
 
+@lru_cache(maxsize=None)
 def _stencil_error_order(offsets, weights, order, max_probe=20) -> int:
     """Exponent q with stencil error O(h^q): first unmatched Taylor moment."""
     for m in range(len(offsets), max_probe):

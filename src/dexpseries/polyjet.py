@@ -13,8 +13,11 @@ Coefficients are Taylor coefficients (partial derivative / multi-index
 factorial), so the degree-0 row is the field's value at the base point and the
 degree-1 rows are its first partial derivatives.
 
-Products are computed by convolving monomial indices; the tensor slots of the
-two factors combine through a caller-supplied einsum subscript.
+Products (contract) convolve monomial indices through a dense product table,
+and the tensor slots of the two factors combine through a caller-supplied
+einsum subscript.  They serve the dense covariant-derivative tower in
+geometry, the cross-check of the Taylor route; no production path multiplies
+two PolyTensors.
 """
 
 from __future__ import annotations
@@ -120,13 +123,6 @@ class PolyTensor:
     def zeros(cls, dim: int, degree: int, shape: tuple[int, ...]) -> "PolyTensor":
         return cls(dim, degree, np.zeros((monomial_count(dim, degree),) + tuple(shape)))
 
-    @classmethod
-    def constant(cls, dim: int, degree: int, values) -> "PolyTensor":
-        values = np.asarray(values, dtype=float)
-        out = cls.zeros(dim, degree, values.shape)
-        out.data[0] = values
-        return out
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape[1:]
@@ -142,16 +138,6 @@ class PolyTensor:
         if degree == self.degree:
             return self
         return PolyTensor(self.dim, degree, self.data[: monomial_count(self.dim, degree)])
-
-    def extend(self, degree: int) -> "PolyTensor":
-        """Pad with zero coefficients up to a larger truncation degree."""
-        if degree < self.degree:
-            raise ValueError(f"cannot extend degree {self.degree} down to {degree}")
-        if degree == self.degree:
-            return self
-        data = np.zeros((monomial_count(self.dim, degree),) + self.shape)
-        data[: self.data.shape[0]] = self.data
-        return PolyTensor(self.dim, degree, data)
 
     def diff(self, var: int) -> "PolyTensor":
         """Partial derivative in chart variable `var`; truncation degree drops by one."""
@@ -179,11 +165,6 @@ class PolyTensor:
     def __sub__(self, other: "PolyTensor") -> "PolyTensor":
         a, b = _align(self, other)
         return PolyTensor(a.dim, a.degree, a.data - b.data)
-
-    def __mul__(self, scalar: float) -> "PolyTensor":
-        return PolyTensor(self.dim, self.degree, self.data * float(scalar))
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"PolyTensor(dim={self.dim}, degree={self.degree}, shape={self.shape})"
@@ -248,25 +229,3 @@ def _einsum_output_shape(subscripts, a_shape, b_shape):
     for letter, size in zip(b_sub, b_shape):
         sizes[letter] = size
     return tuple(sizes[c] for c in out_sub)
-
-
-def reciprocal(u: PolyTensor, degree: int) -> PolyTensor:
-    """1/u as a truncated polynomial; u must be scalar with nonzero constant term.
-
-    Geometric-series expansion: with u = u0 (1 + s) and s carrying no constant
-    term, 1/u = (1/u0) sum_k (-s)^k, truncated at `degree`.
-    """
-    if u.shape != ():
-        raise ValueError("reciprocal is defined for scalar polynomials only")
-    u0 = float(u.data[0])
-    if u0 == 0.0:
-        raise ZeroDivisionError("constant term vanishes")
-    u = u.extend(degree) if u.degree < degree else u.truncate(degree)
-    s = PolyTensor(u.dim, degree, -u.data / u0)
-    s.data[0] = 0.0
-    out = PolyTensor.constant(u.dim, degree, np.array(1.0))
-    power = PolyTensor.constant(u.dim, degree, np.array(1.0))
-    for _ in range(degree):
-        power = contract(",->", power, s, degree)
-        out = out + power
-    return PolyTensor(u.dim, degree, out.data / u0)

@@ -272,6 +272,12 @@ def test_malformed_config_shape_is_invalid(tmp_path, capsys, text):
     assert_invalid(["eval", "--config", str(path)], capsys)
 
 
+def test_unknown_config_field_is_invalid(tmp_path, capsys):
+    # a misspelt max_degree would otherwise run silently at the default degree
+    cfg = dict(POLY_CONFIG, max_degre=4)
+    assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
+
+
 def test_huge_steps_is_invalid(tmp_path, capsys):
     assert_invalid(["verify", "--config", write_config(tmp_path, SPHERE_CONFIG),
                     "--steps", str(10**30)], capsys)

@@ -11,6 +11,7 @@ from dexpseries.evaluate import (
 )
 from dexpseries.geometry import curvature_jet
 from dexpseries.manifolds import flat, hyperbolic, polynomial_connection, sphere
+from dexpseries.taylor import curvature_operators
 from dexpseries.tensors import operator_distance
 
 
@@ -99,14 +100,17 @@ def test_component_homogeneity_generic_scale():
         assert np.linalg.norm(scaled[n] - t**n * base[n]) <= 1e-12 * (1.0 + ref)
 
 
+@pytest.mark.parametrize("source", ["jet", "operators"])
 @pytest.mark.parametrize("model", [sphere(2, 1.0), hyperbolic(2)], ids=["sphere", "hyperbolic"])
-def test_symmetric_space_degeneration(model):
+def test_symmetric_space_degeneration(model, source):
     rng = np.random.default_rng(11)
-    jet = curvature_jet(model, rng.uniform(-0.1, 0.1, 2), 8)
+    p = rng.uniform(-0.1, 0.1, 2)
+    jet = curvature_jet(model, p, 8)
     for _ in range(5):
         v = rng.uniform(-0.5, 0.5, 2)
-        full = evaluate_closed_form(jet, v, 10)
-        sym = evaluate_symmetric(jet, v, 5)
+        args = (jet, v) if source == "jet" else (curvature_operators(model, p, v, 8), None)
+        full = evaluate_closed_form(*args, 10)
+        sym = evaluate_symmetric(*args, 5)
         assert operator_distance(full.operator, sym) <= 1e-10
 
 
@@ -124,14 +128,18 @@ def test_ode_residual_trivial_cases():
     assert ode_residual(jet, np.array([0.2, 0.1, 0.0]), 8, 0.0) == 0.0
 
 
-def test_ode_residual_truncation_order():
+@pytest.mark.parametrize("source", ["jet", "operators"])
+def test_ode_residual_truncation_order(source):
     model = polynomial_connection(3, 3, 0.5, 42)
-    jet = curvature_jet(model, np.zeros(3), 6)
     v = np.array([0.5, -0.4, 0.3])
     v = v / np.linalg.norm(v)
+    if source == "jet":
+        args = (curvature_jet(model, np.zeros(3), 6), v)
+    else:
+        args = (curvature_operators(model, np.zeros(3), v, 6), None)
     N = 8
     ts = np.array([0.05, 0.1, 0.2, 0.3, 0.4])
-    res = np.array([ode_residual(jet, v, N, t) for t in ts])
+    res = np.array([ode_residual(*args, N, t) for t in ts])
     assert np.all(res > 0)
     slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
     assert slope >= N + 0.5

@@ -118,9 +118,9 @@ def test_oracle_does_not_import_taylor():
 
 
 def test_taylor_route_avoids_dense_machinery(monkeypatch):
-    cases = [(model, p, vs[0]) for model in (flat(3), polynomial_connection(3, 3, 0.5, 42),
-                                             polynomial_connection(4, 3, 0.5, 7))
-             for p, vs in _cases(model, count=1, seed=5)]
+    models = (flat(3), sphere(2), sphere(3, 1.3), hyperbolic(3),
+              polynomial_connection(3, 3, 0.5, 42), polynomial_connection(4, 3, 0.5, 7))
+    cases = [(model, p, vs[0]) for model in models for p, vs in _cases(model, count=1, seed=5)]
     jets = [curvature_jet(model, p, 4) for model, p, _ in cases]
 
     def forbidden(*args, **kwargs):
@@ -129,6 +129,7 @@ def test_taylor_route_avoids_dense_machinery(monkeypatch):
     for module in (dexpseries.polyjet, dexpseries.geometry, dexpseries.manifolds):
         if hasattr(module, "contract"):
             monkeypatch.setattr(module, "contract", forbidden)
+    monkeypatch.setattr(dexpseries.polyjet, "product_table", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "covariant_derivative", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "curvature_polynomial", forbidden)
     with pytest.raises(AssertionError):
