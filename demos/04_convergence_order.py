@@ -4,8 +4,7 @@ Truncating the series at degree N leaves a remainder of order N+1 in the
 velocity.  Scaling the velocity by t and measuring the distance to the ODE
 oracle, the log-log slope of distance against t should be at least N+1
 (here it comes out ~7 for the generic connection at N = 6, ~8 on the sphere,
-where odd-degree components vanish).  The same decay governs the residual of
-the defining second-order ODE evaluated on truncated data.
+where odd-degree components vanish).
 """
 
 import numpy as np
@@ -14,7 +13,6 @@ from dexpseries import (
     closed_form_components,
     curvature_jet,
     dexp_oracle,
-    ode_residual,
     polynomial_connection,
     sphere,
 )
@@ -37,14 +35,3 @@ for model, p, v in [
         print(f"  t = {t:4.2f}   distance = {dists[-1]:.3e}")
     slope = np.polyfit(np.log(ts), np.log(dists), 1)[0]
     print(f"  fitted slope: {slope:.2f} (remainder order >= {N + 1})\n")
-
-# the ODE-residual diagnostic shows the same truncation order without any
-# integration at all
-model = polynomial_connection(3, 3, 0.5, 42)
-jet = curvature_jet(model, np.zeros(3), N)
-v = np.array([0.6, -0.5, 0.45])
-v /= np.linalg.norm(v)
-res = [ode_residual(jet, v, 8, t) for t in ts]
-slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
-print("ODE residual at degree 8:", ["%.2e" % r for r in res])
-print(f"residual slope: {slope:.2f} (truncation order 9; fitted slope >= 8.5)")

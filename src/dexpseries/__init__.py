@@ -15,7 +15,6 @@ from .evaluate import (
     evaluate_closed_form,
     evaluate_recurrence,
     evaluate_symmetric,
-    ode_residual,
     recurrence_components,
 )
 from .geometry import (
@@ -24,20 +23,14 @@ from .geometry import (
     ManifoldModel,
     curvature,
     curvature_jet,
-    directional_derivative,
     jacobi_operator,
     word_operator,
 )
 from .manifolds import flat, from_config, hyperbolic, polynomial_connection, sphere
 from .oracle import (
     DerivativeCheck,
-    GeodesicTrajectory,
-    TransportFrame,
     curvature_derivative_table,
     dexp_oracle,
-    dexp_oracle_fd,
-    integrate_geodesic,
-    transport_frame,
     transported_curvature,
 )
 from .series import (

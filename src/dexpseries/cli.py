@@ -38,7 +38,7 @@ from .tensors import operator_distance
 MAX_DEGREE_CAP = 12
 MIN_STEPS = 100
 MAX_STEPS = 100_000  # the oracle stores 2*steps + 1 trajectory nodes
-MAX_JET_BYTES = 2**29  # Christoffel jet plus first partials on the Taylor route
+MAX_JET_BYTES = 2**29  # the Christoffel jet on the Taylor route
 DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
 CONFIG_FIELDS = frozenset({"manifold", "point", "vector", "max_degree", "steps", "fd_step",
                            "tolerance", "t_values", "n"})
@@ -139,12 +139,12 @@ def _load_config(args) -> dict:
     if not MIN_STEPS <= out["steps"] <= MAX_STEPS:
         raise InvalidInput(f"steps must lie in {MIN_STEPS}..{MAX_STEPS}")
 
-    norm = float(np.linalg.norm(vector))
+    norm = math.hypot(*vector)  # no overflow for components near the double range
     if norm > 1.0:
-        print(f"warning: |vector| = {norm:.3f} > 1; the truncated series is not "
+        print(f"warning: |vector| = {norm:.4g} > 1; the truncated series is not "
               "trustworthy there", file=sys.stderr)
     elif norm > 0.5:
-        print(f"note: |vector| = {norm:.3f} > 0.5, outside the recommended envelope",
+        print(f"note: |vector| = {norm:.4g} > 0.5, outside the recommended envelope",
               file=sys.stderr)
     return out
 
@@ -181,24 +181,35 @@ def cmd_coeffs(args) -> int:
                              + ("agree" if matches else "DISAGREE"))
 
 
-def _operators(cfg) -> list[np.ndarray]:
+def _series(cfg, route):
+    """route(ops) on the Taylor-route operators r_n(v), with floating-point errors
+    raised: a value that leaves the double range there makes the input invalid."""
     model, order = cfg["model"], max(0, cfg["max_degree"] - 2)
     d = model.dimension
-    # christoffel_jet(p, K+1) and its d first partials, d^3 doubles per monomial
-    nbytes = (math.comb(d + order + 1, d) + d * math.comb(d + order, d)) * d**3 * 8
+    # christoffel_jet(p, K+1), d^3 doubles per monomial
+    nbytes = math.comb(d + order + 1, d) * d**3 * 8
     if nbytes > MAX_JET_BYTES:
         raise InvalidInput(f"max_degree {cfg['max_degree']} in dimension {d} needs "
                            f"{nbytes / 2**30:.1f} GiB of Christoffel jet "
                            f"(limit {MAX_JET_BYTES / 2**30:g} GiB)")
-    return curvature_operators(model, cfg["point"], cfg["vector"], order)
+    stage = "curvature operators r_n(v)"
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            ops = curvature_operators(model, cfg["point"], cfg["vector"], order)
+            if not np.all(np.isfinite(ops)):  # einsum raises no floating-point errors
+                raise FloatingPointError("non-finite value")
+            stage = "series sum"
+            return route(ops)
+    except FloatingPointError as exc:
+        raise InvalidInput(f"{stage} not finite in double precision ({exc}); "
+                           "the input is out of range") from None
 
 
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
-    ops = _operators(cfg)
-    closed = evaluate_closed_form(ops, max_degree=n)
-    recur = evaluate_recurrence(ops, max_degree=n)
+    closed, recur = _series(cfg, lambda ops: (evaluate_closed_form(ops, max_degree=n),
+                                              evaluate_recurrence(ops, max_degree=n)))
     dist = operator_distance(closed.operator, recur.operator)
     tol = float(1e-12 * (1.0 + np.linalg.norm(closed.operator.matrix)))
     passed = bool(dist <= tol)
@@ -218,7 +229,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
-    ev = evaluate_closed_form(_operators(cfg), max_degree=n)
+    ev = _series(cfg, lambda ops: evaluate_closed_form(ops, max_degree=n))
     oracle_op = dexp_oracle(cfg["model"], cfg["point"], cfg["vector"], cfg["steps"])
     dist = operator_distance(ev.operator, oracle_op)
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6
@@ -247,7 +258,7 @@ def cmd_convergence(args) -> int:
     if any(t > 0.5 for t in t_values):
         raise InvalidInput("t values must lie in (0, 0.5]")
 
-    comps = closed_form_components(_operators(cfg), max_degree=n)
+    comps = _series(cfg, lambda ops: closed_form_components(ops, max_degree=n))
     t_values = sorted(t_values)
     oracle_ops = dexp_oracle(cfg["model"], cfg["point"],
                              np.outer(t_values, cfg["vector"]), cfg["steps"])

@@ -11,7 +11,8 @@ cross-check route.  The two routes are:
   1/(n(n+1)) * sum_m (1/m!) * r_m(v) . component(n-m-2).
 
 Their term-by-term agreement (a theorem in exact arithmetic) is the package's
-central numerical cross-check, together with the ODE oracle.
+central numerical cross-check; these are the only two series routes, and the
+Jacobi-field ODE oracle (oracle.dexp_oracle) is their independent check.
 
 The series is treated as asymptotic in |v|; the tested operating envelope is
 |v| <= 0.5.
@@ -154,29 +155,3 @@ def evaluate_symmetric(source, v=None, terms: int = 4) -> LinearOperator:
         acc = acc + power / math.factorial(2 * k + 1)
     return LinearOperator(acc)
 
-
-def ode_residual(source, v=None, max_degree: int = 8, t: float = 1.0) -> float:
-    """Residual of the defining second-order ODE on degree-truncated data.
-
-    `source` is as for closed_form_components.  With E(t) = sum_n t^n E_n and
-    the transported-curvature operator truncated as
-    sum_{n>=2} t^n/(n-2)! * r_{n-2}(v), the combination
-        (t^2 d^2/dt^2 + 2 t d/dt) E(t) - R(t) E(t)
-    vanishes through degree max_degree, so the returned Frobenius norm is
-    O(t^(max_degree+1)) as t -> 0.
-    """
-    if abs(t) > 1.0:
-        raise ValueError("the residual diagnostic is defined for |t| <= 1")
-    ops = _operator_list(source, v, max_degree)
-    comps = recurrence_components(ops, max_degree=max_degree)
-    d = ops[0].shape[0]
-    lhs = np.zeros((d, d))
-    value = np.zeros((d, d))
-    for n, comp in enumerate(comps):
-        tn = t**n
-        value += tn * comp
-        lhs += n * (n + 1) * tn * comp
-    rop = np.zeros((d, d))
-    for n in range(2, max_degree + 1):
-        rop += (t**n / math.factorial(n - 2)) * ops[n - 2]
-    return float(np.linalg.norm(lhs - rop @ value))

@@ -14,8 +14,9 @@ those this module computes
 * the iterated covariant derivatives of R at a point, each application
   prepending one covariant slot (derivative slots sit first, then the three
   curvature slots X, Y, Z);
-* the Jacobi-type operators w -> (v^n . nabla^n R)(v, w) v built from them, and
-  their compositions indexed by integer words.
+* the Jacobi-type operators w -> (v^n . nabla^n R)(v, w) v built from them
+  (jacobi_operator contracts the n derivative slots with v itself), and their
+  compositions indexed by integer words.
 
 Higher derivatives are taken on truncated polynomial jets, so the only
 numerical error in this module is floating-point rounding.  The dense tower
@@ -185,17 +186,12 @@ def curvature_jet(model: ManifoldModel, p, max_order: int) -> CurvatureJet:
     return CurvatureJet(p, max_order, tensors)
 
 
-def directional_derivative(jet: CurvatureJet, v, n: int) -> DenseTensor:
-    """v^n . (nabla^n R): the derivative slots fully contracted with v."""
-    if not 0 <= n <= jet.max_order:
-        raise ValueError(f"derivative order {n} outside jet range 0..{jet.max_order}")
-    return contract_leading(jet.tensors[n], np.asarray(v, dtype=float), n)
-
-
 def jacobi_operator(jet: CurvatureJet, v, n: int) -> LinearOperator:
     """The operator w -> (v^n . nabla^n R)(v, w) v; homogeneous of degree n+2 in v."""
+    if not 0 <= n <= jet.max_order:
+        raise ValueError(f"derivative order {n} outside jet range 0..{jet.max_order}")
     v = np.asarray(v, dtype=float)
-    g = directional_derivative(jet, v, n).components
+    g = contract_leading(jet.tensors[n], v, n).components
     return LinearOperator(np.einsum("lijk,i,k->lj", g, v, v))
 
 

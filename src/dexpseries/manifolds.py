@@ -132,8 +132,8 @@ class Sphere(_ConformalModel):
     name = "sphere"
 
     def __init__(self, dimension: int, radius: float = 1.0):
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         self.radius = float(radius)
         r2 = radius * radius
         super().__init__(dimension, c0=r2, sigma=+1.0, factor_num=2.0 * r2)
@@ -166,6 +166,8 @@ class PolynomialConnection(ManifoldModel):
             raise ValueError("dimension must be at least 2")
         if max_poly_degree < 0:
             raise ValueError("max_poly_degree must be nonnegative")
+        if not math.isfinite(scale):
+            raise ValueError(f"scale must be finite, got {scale!r}")
         self.dimension = dimension
         self.max_poly_degree = int(max_poly_degree)
         self.scale = float(scale)

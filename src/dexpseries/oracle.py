@@ -14,18 +14,19 @@ The three pillars:
 
 The transported differential of the exponential map is read off from Jacobi
 fields with J(0) = 0, (DJ/dt)(0) = w: its value on w is the frame-inverse of
-J(1).  The transported curvature operator and its t-derivatives at 0 (computed
-with high-order central stencils plus Richardson extrapolation) provide the
-remaining cross-checks against the jet machinery.
+J(1).  This Jacobi route (dexp_oracle) is the one independent check of the
+two series routes in evaluate.  The transported curvature operator and its
+t-derivatives at 0 (high-order central stencils plus Richardson extrapolation)
+check the curvature operators themselves against the dense tower (Lemma 2).
 
-Every entry point takes one velocity (d,) or a batch (B, d); a batch gives a
-list of LinearOperators.  RK4 advances all B geodesics in lock step with one
-batched christoffel call per stage and checks the chart domain after every
-step, so the earliest exit time is reported.  Trajectories are stored on a
-half-step grid (2*steps + 1 nodes) so that the linear ODEs along the curve take
-full RK4 steps with exact node data; they reuse Gamma kept from the first RK4
-stage at each node, and curvature at all nodes takes one christoffel_partials
-call.
+The geodesic, transport and Jacobi entry points take one velocity (d,) or a
+batch (B, d); a batch gives a list of LinearOperators.  RK4 advances all B
+geodesics in lock step with one batched christoffel call per stage and checks
+the chart domain after every step, so the earliest exit time is reported.
+Trajectories are stored on a half-step grid (2*steps + 1 nodes) so that the
+linear ODEs along the curve take full RK4 steps with exact node data; they
+reuse Gamma kept from the first RK4 stage at each node, and curvature at all
+nodes takes one christoffel_partials call.
 """
 
 from __future__ import annotations
@@ -54,10 +55,6 @@ class GeodesicTrajectory:
     @property
     def endpoint(self) -> np.ndarray:
         return self.positions[-1]
-
-    @property
-    def end_velocity(self) -> np.ndarray:
-        return self.velocities[-1]
 
 
 @dataclass
@@ -179,27 +176,6 @@ def dexp_oracle(model: ManifoldModel, p, v, steps: int):
     y0[..., d:2 * d, :] = y0[..., 2 * d:, :] = np.eye(d)
     end = _integrate_linear(a_big, traj.times, y0)[-1]
     return _as_operators(np.linalg.solve(end[..., 2 * d:, :], end[..., :d, :]), v)
-
-
-def dexp_oracle_fd(model: ManifoldModel, p, v, steps: int, fd_step: float = 1e-3) -> LinearOperator:
-    """Second, cruder oracle: central differences of chart exponential endpoints.
-
-    Perturbs the initial velocity along each basis direction and transports the
-    endpoint differences back; one Richardson level on the step.  Catches
-    errors shared along the Jacobi route; noisier, not used for acceptance.
-    The base geodesic and all 4d perturbed ones are integrated as one batch.
-    """
-    v = np.asarray(v, dtype=float)
-    d = model.dimension
-    hs = (fd_step / 2, fd_step)
-    offsets = [s * h * e for h in hs for e in np.eye(d) for s in (1.0, -1.0)]
-    traj = integrate_geodesic(model, p, v + np.array([np.zeros(d)] + offsets), steps)
-    frame_end = transport_frame(model, traj).end[0]
-
-    ends = traj.endpoint[1:].reshape(2, d, 2, d)  # [step, direction, sign]
-    columns = [(ends[i, :, 0] - ends[i, :, 1]) / (2.0 * h) for i, h in enumerate(hs)]
-    cols = (4.0 * columns[0] - columns[1]) / 3.0
-    return LinearOperator(np.linalg.solve(frame_end, cols.T))
 
 
 def transported_curvature(model: ManifoldModel, p, v, steps: int):

@@ -11,7 +11,8 @@ stored as an array whose leading axis is the power of t:
 
 * the geodesic coefficients, solved order by order from x'' = -Gamma(x)(x', x');
 * Gamma and its first partials along the curve, by composing the model's
-  christoffel_jet(p, K+1) with x(t) - p, one coefficient per step;
+  christoffel_jet(p, K+1) with x(t) - p, one coefficient per step (the
+  partials reuse the jet rows, so the jet is the one large array);
 * the frame F (F' = A F with A = -Gamma(x)(x', .)) and its inverse
   (H' = -H A);
 * T = H M F with M = R(x', .) x', read off as r_n = n! [t^n] T.
@@ -29,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import ManifoldModel
-from .polyjet import monomial_exponents, monomial_indices
+from .polyjet import _diff_table, monomial_exponents, monomial_indices
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +85,6 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
     K = max_order
 
     gamma = model.christoffel_jet(p, K + 1)  # rows: monomials in xi = x - p
-    dgamma = np.stack([gamma.diff(a).data for a in range(d)], axis=1)  # [m, a, l, j, k]
     rows, variables, parents = _monomial_tree(d, K + 1)
 
     xi = np.zeros((K + 2, d))          # x(t) - p
@@ -107,7 +107,13 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
             acc = np.einsum("ilab,iab->l", g[:k + 1], vv[k::-1])  # [t^k] Gamma(x', x')
             xi[k + 2] = -acc / ((k + 2) * (k + 1))
 
-    dg = np.einsum("m...,mk->k...", dgamma, mono[:len(dgamma)])  # [k, a, l, j, k']
+    # d_a Gamma from the jet rows, no jet of partials: [t^k] d_a xi^e = e_a [t^k] xi^(e-1_a)
+    dg = np.empty((K + 1, d, d, d, d))  # [k, a, l, j, k']
+    for a in range(d):
+        src, dst, fac = _diff_table(d, K + 1, a)
+        weights = np.zeros_like(mono)
+        weights[src] = fac[:, None] * mono[dst]
+        dg[:, a] = np.tensordot(weights, gamma.data, axes=(0, 0))
     gv = _cauchy("lim,i->lm", g, vel)  # Gamma(x', .) = -A
     # M[l, j] = R[l, i, j, k] x'^i x'^k with
     # R[l,i,j,k] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -291,7 +292,7 @@ def test_polynomial_degree_over_bound_is_invalid(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["eval", "verify", "convergence"])
 def test_christoffel_jet_over_budget_is_invalid(tmp_path, capsys, command):
-    # d = 10, max_degree 12: about 17.6 GB of Christoffel jet and partials
+    # d = 10, max_degree 12: C(21, 10) * 10^3 doubles, about 2.8 GB of Christoffel jet
     cfg = {"manifold": {"kind": "flat", "dimension": 10}, "point": [0.0] * 10,
            "vector": [0.01] * 10, "max_degree": 12, "steps": 200}
     assert_invalid([command, "--config", write_config(tmp_path, cfg)], capsys)
@@ -304,3 +305,51 @@ def test_one_geodesic_of_the_batch_leaving_the_chart_is_invalid(tmp_path, capsys
     cfg = {"manifold": {"kind": "polynomial", "dimension": 2, "degree": 2, "scale": 0.2, "seed": 5},
            "point": [0.97, 0.0], "vector": [0.45, 0.0], "max_degree": 6, "steps": 150}
     assert_invalid([command, "--config", write_config(tmp_path, cfg)] + extra, capsys)
+
+
+BAD_MODEL_PARAMETERS = [{"kind": "sphere", "dimension": 2, "radius": float("inf")},
+                        {"kind": "sphere", "dimension": 2, "radius": float("nan")},
+                        {"kind": "polynomial", "dimension": 2, "scale": float("inf")},
+                        {"kind": "polynomial", "dimension": 2, "scale": float("-inf")}]
+
+
+@pytest.mark.parametrize("command, extra", [("eval", []), ("verify", []), ("lemma2", ["--n", "2"])],
+                         ids=["eval", "verify", "lemma2"])
+@pytest.mark.parametrize("manifold", BAD_MODEL_PARAMETERS,
+                         ids=["radius-inf", "radius-nan", "scale-inf", "scale-minus-inf"])
+def test_non_finite_model_parameter_is_invalid(tmp_path, capsys, command, extra, manifold):
+    # json writes these as Infinity and NaN, which Python's json reads back;
+    # an infinite radius would otherwise run as flat space
+    cfg = {"manifold": manifold, "vector": [0.1, 0.05], "steps": 100}
+    assert_invalid([command, "--config", write_config(tmp_path, cfg)] + extra, capsys)
+
+
+NON_FINITE_SERIES = {
+    "sphere-radius-1e-300": {"manifold": {"kind": "sphere", "dimension": 2, "radius": 1e-300},
+                             "point": [0.0, 0.0], "vector": [0.1, 0.2]},
+    "polynomial-scale-1e300": {"manifold": {"kind": "polynomial", "dimension": 3,
+                                            "scale": 1e300},
+                               "vector": [0.1, 0.2, 0.1]},
+    "sphere-vector-1e200": {"manifold": {"kind": "sphere", "dimension": 2},
+                            "vector": [1e200, 0.0]},
+    # the operators are finite, the per-degree norms of the series overflow;
+    # convergence reports no such norms, so it is not a row here
+    "sphere-vector-1e20": {"manifold": {"kind": "sphere", "dimension": 2},
+                           "vector": [1e20, 1e19], "max_degree": 12},
+}
+
+
+@pytest.mark.parametrize("name, command", [(name, command) for name in sorted(NON_FINITE_SERIES)
+                                           for command in ("eval", "verify", "convergence")
+                                           if (name, command) != ("sphere-vector-1e20",
+                                                                  "convergence")])
+def test_non_finite_series_is_invalid(tmp_path, capsys, name, command):
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", write_config(tmp_path, NON_FINITE_SERIES[name])]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "not finite in double precision" in errors[0], err

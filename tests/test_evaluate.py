@@ -6,7 +6,6 @@ from dexpseries.evaluate import (
     evaluate_closed_form,
     evaluate_recurrence,
     evaluate_symmetric,
-    ode_residual,
     recurrence_components,
 )
 from dexpseries.geometry import curvature_jet
@@ -118,37 +117,6 @@ def test_symmetric_zero_terms_is_identity():
     jet = curvature_jet(sphere(2, 1.0), np.zeros(2), 0)
     op = evaluate_symmetric(jet, np.array([0.3, 0.1]), 0)
     assert np.array_equal(op.matrix, np.eye(2))
-
-
-def test_ode_residual_trivial_cases():
-    jet = curvature_jet(flat(2), np.zeros(2), 6)
-    assert ode_residual(jet, np.array([0.3, 0.2]), 8, 0.3) == 0.0
-    model = polynomial_connection(3, 3, 0.5, 42)
-    jet = curvature_jet(model, np.zeros(3), 6)
-    assert ode_residual(jet, np.array([0.2, 0.1, 0.0]), 8, 0.0) == 0.0
-
-
-@pytest.mark.parametrize("source", ["jet", "operators"])
-def test_ode_residual_truncation_order(source):
-    model = polynomial_connection(3, 3, 0.5, 42)
-    v = np.array([0.5, -0.4, 0.3])
-    v = v / np.linalg.norm(v)
-    if source == "jet":
-        args = (curvature_jet(model, np.zeros(3), 6), v)
-    else:
-        args = (curvature_operators(model, np.zeros(3), v, 6), None)
-    N = 8
-    ts = np.array([0.05, 0.1, 0.2, 0.3, 0.4])
-    res = np.array([ode_residual(*args, N, t) for t in ts])
-    assert np.all(res > 0)
-    slope = np.polyfit(np.log(ts), np.log(res), 1)[0]
-    assert slope >= N + 0.5
-
-
-def test_ode_residual_rejects_large_t():
-    jet = curvature_jet(flat(2), np.zeros(2), 2)
-    with pytest.raises(ValueError):
-        ode_residual(jet, np.array([0.1, 0.0]), 4, 1.5)
 
 
 def test_scale_degeneration_to_flat():

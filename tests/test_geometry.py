@@ -5,7 +5,6 @@ from dexpseries.geometry import (
     ChartDomainError,
     curvature,
     curvature_jet,
-    directional_derivative,
     jacobi_operator,
     word_operator,
 )
@@ -238,7 +237,9 @@ def test_jet_order_errors():
     model = flat(2)
     jet = curvature_jet(model, np.zeros(2), 2)
     with pytest.raises(ValueError):
-        directional_derivative(jet, np.ones(2), 3)
+        jacobi_operator(jet, np.ones(2), 3)
+    with pytest.raises(ValueError):
+        jacobi_operator(jet, np.ones(2), -1)
     with pytest.raises(ValueError):
         word_operator(jet, np.ones(2), (5,))
 
@@ -247,19 +248,17 @@ def test_jet_order_errors():
 # curvature operators
 # ----------------------------------------------------------------------------
 
-def test_directional_derivative_basics():
+def test_jacobi_operator_basics():
     model = polynomial_connection(3, 3, 0.5, 42)
     jet = curvature_jet(model, np.zeros(3), 2)
     v = np.array([0.2, -0.1, 0.05])
-    d0 = directional_derivative(jet, v, 0)
-    assert np.array_equal(d0.components, jet.tensors[0].components)
-    dz = directional_derivative(jet, np.zeros(3), 2)
-    assert not np.any(dz.components)
-    # exact scaling in powers of two
+    r0 = jacobi_operator(jet, v, 0).matrix
+    assert np.array_equal(r0, np.einsum("lijk,i,k->lj", jet.tensors[0].components, v, v))
+    assert not np.any(jacobi_operator(jet, np.zeros(3), 2).matrix)
+    # exact scaling in powers of two: degree n + 2 in v
     for n in range(3):
-        doubled = directional_derivative(jet, 2.0 * v, n).components
-        assert np.allclose(doubled, 2.0**n * directional_derivative(jet, v, n).components,
-                           rtol=0, atol=0)
+        doubled = jacobi_operator(jet, 2.0 * v, n).matrix
+        assert np.array_equal(doubled, 2.0 ** (n + 2) * jacobi_operator(jet, v, n).matrix)
 
 
 def test_jacobi_operator_flat_zero():

@@ -1,5 +1,7 @@
 import ast
+import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -85,6 +87,24 @@ def test_point_outside_chart_and_bad_order():
         curvature_operators(hyperbolic(2), [0.8, 0.8], [0.1, 0.0], 3)
     with pytest.raises(ValueError):
         curvature_operators(flat(2), [0.0, 0.0], [0.1, 0.0], -1)
+
+
+@pytest.mark.parametrize("model, max_order", [(sphere(6, 1.0), 8),
+                                              (polynomial_connection(6, 3, 0.5, 3), 10)],
+                         ids=["sphere6", "polynomial6"])
+def test_peak_memory_stays_near_the_christoffel_jet(model, max_order):
+    # the route's one large array is christoffel_jet(p, K+1), the bytes that
+    # cli.MAX_JET_BYTES counts; the partials along the curve copy no jet rows
+    d = model.dimension
+    p, v = np.full(d, 0.05), np.linspace(0.1, 0.2, d)
+    curvature_operators(model, p, v, max_order)  # builds the cached monomial tables
+    tracemalloc.start()
+    try:
+        curvature_operators(model, p, v, max_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * math.comb(d + max_order + 1, d) * d**3 * 8
 
 
 def _imported_modules(module: str) -> set[str]:
