@@ -22,6 +22,8 @@ Exit codes: 0 all embedded checks pass, 1 a check fails, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -181,9 +183,20 @@ def cmd_coeffs(args) -> int:
                              + ("agree" if matches else "DISAGREE"))
 
 
+@contextlib.contextmanager
+def _double_range(stage: str):
+    """Raise floating-point errors inside the block: a value that leaves the
+    double range there makes the input invalid, and the error names the stage."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise InvalidInput(f"{stage} not finite in double precision ({exc}); "
+                           "the input is out of range") from None
+
+
 def _series(cfg, route):
-    """route(ops) on the Taylor-route operators r_n(v), with floating-point errors
-    raised: a value that leaves the double range there makes the input invalid."""
+    """route(ops) on the Taylor-route operators r_n(v), each stage in the double range."""
     model, order = cfg["model"], max(0, cfg["max_degree"] - 2)
     d = model.dimension
     # christoffel_jet(p, K+1), d^3 doubles per monomial
@@ -192,17 +205,12 @@ def _series(cfg, route):
         raise InvalidInput(f"max_degree {cfg['max_degree']} in dimension {d} needs "
                            f"{nbytes / 2**30:.1f} GiB of Christoffel jet "
                            f"(limit {MAX_JET_BYTES / 2**30:g} GiB)")
-    stage = "curvature operators r_n(v)"
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            ops = curvature_operators(model, cfg["point"], cfg["vector"], order)
-            if not np.all(np.isfinite(ops)):  # einsum raises no floating-point errors
-                raise FloatingPointError("non-finite value")
-            stage = "series sum"
-            return route(ops)
-    except FloatingPointError as exc:
-        raise InvalidInput(f"{stage} not finite in double precision ({exc}); "
-                           "the input is out of range") from None
+    with _double_range("curvature operators r_n(v)"):
+        ops = curvature_operators(model, cfg["point"], cfg["vector"], order)
+        if not np.all(np.isfinite(ops)):  # einsum raises no floating-point errors
+            raise FloatingPointError("non-finite value")
+    with _double_range("series sum"):
+        return route(ops)
 
 
 def cmd_eval(args) -> int:
@@ -230,7 +238,8 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
     ev = _series(cfg, lambda ops: evaluate_closed_form(ops, max_degree=n))
-    oracle_op = dexp_oracle(cfg["model"], cfg["point"], cfg["vector"], cfg["steps"])
+    with _double_range("ODE oracle"):
+        oracle_op = dexp_oracle(cfg["model"], cfg["point"], cfg["vector"], cfg["steps"])
     dist = operator_distance(ev.operator, oracle_op)
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6
     passed = dist <= tol
@@ -260,8 +269,9 @@ def cmd_convergence(args) -> int:
 
     comps = _series(cfg, lambda ops: closed_form_components(ops, max_degree=n))
     t_values = sorted(t_values)
-    oracle_ops = dexp_oracle(cfg["model"], cfg["point"],
-                             np.outer(t_values, cfg["vector"]), cfg["steps"])
+    with _double_range("ODE oracle"):
+        oracle_ops = dexp_oracle(cfg["model"], cfg["point"],
+                                 np.outer(t_values, cfg["vector"]), cfg["steps"])
     rows = []
     for t, oracle_op in zip(t_values, oracle_ops):
         truncated = sum(t**k * comp for k, comp in enumerate(comps))
@@ -296,8 +306,9 @@ def cmd_lemma2(args) -> int:
     order = cfg["n"]
     if not 0 <= order <= 4:
         raise InvalidInput("derivative order must lie in 0..4")
-    check = curvature_derivative_table(cfg["model"], cfg["point"], cfg["vector"], [order],
-                                       steps=cfg["steps"], fd_step=cfg["fd_step"])[order]
+    with _double_range("transported curvature derivatives"):
+        check = curvature_derivative_table(cfg["model"], cfg["point"], cfg["vector"], [order],
+                                           steps=cfg["steps"], fd_step=cfg["fd_step"])[order]
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-5
     passed = check.distance <= tol
     blob = check.to_json()
@@ -308,7 +319,9 @@ def cmd_lemma2(args) -> int:
                             f"(tol {tol:.1e})")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="dexpseries",
         description="Taylor series of the transported differential of the exponential "

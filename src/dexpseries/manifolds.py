@@ -17,7 +17,7 @@ import numpy as np
 from .geometry import ManifoldModel
 from .polyjet import PolyTensor, monomial_exponents, monomial_indices
 
-MAX_POLY_TABLE_BYTES = 2**26  # from_config: polynomial shift tables plus coefficients
+MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial shift tables
 
 
 class FlatSpace(ManifoldModel):
@@ -243,7 +243,12 @@ def from_config(config: dict) -> ManifoldModel:
     kind = cfg.pop("kind", None)
     if kind is None:
         raise ValueError("manifold config needs a 'kind' field")
-    d = int(cfg.pop("dimension"))
+    d = cfg.pop("dimension")
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"dimension must be an integer, got {d!r}")
+    if 8 * d**4 > MAX_POLY_TABLE_BYTES:  # the (d, d, d, d) curvature or dGamma at a point
+        raise ValueError(f"dimension {d} is too large: one (d, d, d, d) array would exceed "
+                         f"{MAX_POLY_TABLE_BYTES // 2**20} MiB")
     if kind == "flat":
         model = flat(d)
     elif kind == "sphere":

@@ -3,6 +3,10 @@
 Tensors live over one d-dimensional real vector space (the tangent space at a
 chart point).  Components are stored dense, contravariant slots first, then
 covariant slots in declared order.  Tangent vectors are plain 1-d numpy arrays.
+
+`contract_leading` contracts a vector into the first covariant slot as a
+batched matrix-vector product on a reshaped view, so the dense components are
+read in place and never transposed or copied.
 """
 
 from __future__ import annotations
@@ -47,7 +51,10 @@ def contract_leading(tensor: DenseTensor, v: np.ndarray, n: int) -> DenseTensor:
     """Contract the vector v into the first covariant slot, n times.
 
     Equals the full contraction of the n-fold tensor power of v with the leading
-    n covariant slots.
+    n covariant slots.  Each contraction views the components as
+    (contravariant shape) + (d, rest), a stack of d x rest matrices, and
+    multiplies v into every matrix with one matmul; the result is reshaped to
+    the remaining rank once at the end.
     """
     if n < 0:
         raise ValueError("contraction count must be nonnegative")
@@ -57,9 +64,12 @@ def contract_leading(tensor: DenseTensor, v: np.ndarray, n: int) -> DenseTensor:
     if v.shape != (tensor.dimension,):
         raise ValueError(f"vector shape {v.shape} does not match dimension {tensor.dimension}")
     comps = tensor.components
+    d, rank = tensor.dimension, comps.ndim
+    lead = comps.shape[:tensor.contravariant]
     for _ in range(n):
-        comps = np.tensordot(comps, v, axes=([tensor.contravariant], [0]))
-    return DenseTensor(tensor.contravariant, tensor.covariant - n, comps)
+        comps = v @ comps.reshape(lead + (d, -1))
+    return DenseTensor(tensor.contravariant, tensor.covariant - n,
+                       comps.reshape((d,) * (rank - n)))
 
 
 @dataclass(eq=False)

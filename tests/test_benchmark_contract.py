@@ -1,4 +1,5 @@
-"""The benchmark's per-layer targets still name real program code.
+"""The benchmark's per-layer targets still name real program code, and a short
+benchmark run ends in the result line the benchmark's reader parses.
 
 perfbench/layers.py names the functions and methods that a traced run wraps as
 strings.  A name that stops resolving turns its metrics absent instead of
@@ -7,13 +8,17 @@ tests resolve every name the way perfbench's installer looks it up, without
 installing any wrapper, and feed the return-value hooks real results.
 """
 
+import json
+import math
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import layers  # noqa: E402
 import spans  # noqa: E402
@@ -63,3 +68,22 @@ def test_return_hooks_read_real_results():
     assert tracer.counters["jet_bytes"] > 0
     assert tracer.counters["jet_useful_bytes"] > 0
     assert tracer.counters["rk4_steps"] > 0
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_short_run_ends_in_a_strict_json_result():
+    # a run whose last line is not a parsable result measures nothing
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "eval-sweep",
+         "--seed", "0", "--seconds", "0.2", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert set(result["metrics"]) == {metric["name"] for metric in declared}
+    for name, metric in result["metrics"].items():
+        assert math.isfinite(metric["value"]) and metric["value"] > 0, name

@@ -194,6 +194,21 @@ def test_seed_override_changes_result(tmp_path):
     assert not np.allclose(mat_a, mat_b)
 
 
+def test_cached_parser_keeps_no_state_between_commands(tmp_path):
+    # the parser is built once per process; a --seed of one command must not
+    # carry over into the next
+    from dexpseries.cli import _build_parser
+
+    path = write_config(tmp_path, POLY_CONFIG)
+    seeded, cached, fresh = (tmp_path / name for name in ("seeded.json", "cached.json",
+                                                          "fresh.json"))
+    assert main(["eval", "--config", path, "--seed", "5", "--out", str(seeded)]) == 0
+    assert main(["eval", "--config", path, "--out", str(cached)]) == 0
+    _build_parser.cache_clear()
+    assert main(["eval", "--config", path, "--out", str(fresh)]) == 0
+    assert cached.read_text() == fresh.read_text() != seeded.read_text()
+
+
 def test_vector_norm_warning(tmp_path, capsys):
     cfg = dict(SPHERE_CONFIG)
     cfg["vector"] = [0.9, 0.8]
@@ -339,17 +354,50 @@ NON_FINITE_SERIES = {
 }
 
 
-@pytest.mark.parametrize("name, command", [(name, command) for name in sorted(NON_FINITE_SERIES)
-                                           for command in ("eval", "verify", "convergence")
-                                           if (name, command) != ("sphere-vector-1e20",
-                                                                  "convergence")])
-def test_non_finite_series_is_invalid(tmp_path, capsys, name, command):
+def assert_out_of_range(argv, capsys, stage):
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main([command, "--config", write_config(tmp_path, NON_FINITE_SERIES[name])]) == 2
+        assert main(argv) == 2
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
     assert "Traceback" not in err and "RuntimeWarning" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "not finite in double precision" in errors[0], err
+    assert errors[0].startswith(f"error: {stage}"), err
+
+
+@pytest.mark.parametrize("name, command", [(name, command) for name in sorted(NON_FINITE_SERIES)
+                                           for command in ("eval", "verify", "convergence")
+                                           if (name, command) != ("sphere-vector-1e20",
+                                                                  "convergence")])
+def test_non_finite_series_is_invalid(tmp_path, capsys, name, command):
+    stage = "series sum" if name == "sphere-vector-1e20" else "curvature operators"
+    assert_out_of_range([command, "--config", write_config(tmp_path, NON_FINITE_SERIES[name])],
+                        capsys, stage)
+
+
+@pytest.mark.parametrize("name, command, stage", [
+    ("sphere-radius-1e-300", "lemma2", "transported curvature derivatives"),
+    ("sphere-vector-1e200", "lemma2", "transported curvature derivatives"),
+    # the series is finite here; the oracle's geodesic overflows
+    ("sphere-vector-1e20", "convergence", "ODE oracle"),
+], ids=["sphere-radius-1e-300-lemma2", "sphere-vector-1e200-lemma2",
+        "sphere-vector-1e20-convergence"])
+def test_non_finite_oracle_is_invalid(tmp_path, capsys, name, command, stage):
+    argv = [command, "--config", write_config(tmp_path, NON_FINITE_SERIES[name])]
+    assert_out_of_range(argv + (["--n", "2"] if command == "lemma2" else []), capsys, stage)
+
+
+@pytest.mark.parametrize("dimension", [2.5, True, float("inf"), 1e12, 54],
+                         ids=["fraction", "boolean", "infinity", "1e12", "54"])
+def test_bad_dimension_is_invalid(tmp_path, capsys, dimension):
+    # 2.5 and true used to run as d = 2 and d = 1; Infinity and 1e12 ended in
+    # OverflowError and MemoryError tracebacks.  d = 54 is the first whose
+    # (d, d, d, d) curvature exceeds the 64 MiB budget.
+    cfg = {"manifold": {"kind": "flat", "dimension": dimension}, "vector": [0.1, 0.0]}
+    path = write_config(tmp_path, cfg)
+    capsys.readouterr()
+    assert main(["eval", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad manifold config: dimension") and err.count("\n") == 1, err

@@ -135,6 +135,11 @@ def test_from_config():
         from_config({"dimension": 2})
     with pytest.raises(ValueError):
         from_config({"kind": "flat", "dimension": 2, "radius": 1.0})
+    # integers only, up to the largest d whose (d, d, d, d) array fits 64 MiB
+    assert from_config({"kind": "flat", "dimension": 53}).dimension == 53
+    for bad in (54, 2.0, 2.5, True, "3", None):
+        with pytest.raises(ValueError, match="dimension"):
+            from_config({"kind": "flat", "dimension": bad})
 
 
 @pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")

@@ -20,6 +20,30 @@ def brute_force_contract(components, v, p, n):
     return out
 
 
+def reference_contract(tensor, v, n):
+    """The np.tensordot loop that contract_leading used before its batched matmul."""
+    comps = tensor.components
+    for _ in range(n):
+        comps = np.tensordot(comps, v, axes=([tensor.contravariant], [0]))
+    return comps
+
+
+@pytest.mark.parametrize("d,covariant", [(2, 6), (3, 5), (4, 4)])
+@pytest.mark.parametrize("contravariant", [0, 1])
+def test_contract_leading_matches_tensordot_loop(d, covariant, contravariant):
+    # the matmul sums each slot in another order, so allow rounding: 1e-15 of
+    # the largest entry of the reference result
+    rng = np.random.default_rng(100 * d + contravariant)
+    T = DenseTensor(contravariant, covariant, rng.normal(size=(d,) * (contravariant + covariant)))
+    v = rng.normal(size=d)
+    for n in range(covariant + 1):
+        got = contract_leading(T, v, n)
+        want = reference_contract(T, v, n)
+        assert (got.contravariant, got.covariant) == (contravariant, covariant - n)
+        assert got.components.shape == want.shape
+        assert np.max(np.abs(got.components - want)) <= 1e-15 * np.max(np.abs(want))
+
+
 def test_contract_leading_empty():
     rng = np.random.default_rng(0)
     T = DenseTensor(1, 3, rng.normal(size=(2, 2, 2, 2)))
@@ -71,10 +95,17 @@ def test_contract_leading_multilinearity():
 
 def test_contract_leading_rejects_bad_input():
     T = DenseTensor(1, 1, np.eye(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonnegative"):
+        contract_leading(T, np.array([1.0, 2.0]), -1)
+    with pytest.raises(ValueError, match="cannot contract 2"):
         contract_leading(T, np.array([1.0, 2.0]), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not match dimension"):
         contract_leading(T, np.array([1.0, 2.0, 3.0]), 1)
+    with pytest.raises(ValueError, match="does not match dimension"):
+        contract_leading(T, np.ones((2, 1)), 1)
+    huge = DenseTensor(1, 3, np.full((2, 2, 2, 2), 1e300))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        contract_leading(huge, np.array([1e300, 1e300]), 2)
 
 
 def test_dense_tensor_validation():
