@@ -40,7 +40,7 @@ from .tensors import operator_distance
 MAX_DEGREE_CAP = 12
 MIN_STEPS = 100
 MAX_STEPS = 100_000  # the oracle stores 2*steps + 1 trajectory nodes
-MAX_JET_BYTES = 2**29  # the Christoffel jet on the Taylor route
+MAX_ARRAY_BYTES = 2**29  # the largest arrays of a command, checked before they exist
 DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
 CONFIG_FIELDS = frozenset({"manifold", "point", "vector", "max_degree", "steps", "fd_step",
                            "tolerance", "t_values", "n"})
@@ -86,7 +86,7 @@ def _load_config(args) -> dict:
     try:
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, or an integer too long to read
         raise InvalidInput(f"cannot read config {args.config!r}: {exc}")
 
     if not isinstance(cfg, dict):
@@ -195,16 +195,28 @@ def _double_range(stage: str):
                            "the input is out of range") from None
 
 
+def _within_budget(nbytes: int, what: str):
+    """Refuse the input before an array of nbytes is allocated past MAX_ARRAY_BYTES."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise InvalidInput(f"{what} needs {nbytes / 2**30:.1f} GiB "
+                           f"(limit {MAX_ARRAY_BYTES / 2**30:g} GiB)")
+
+
+def _oracle_budget(cfg, batch: int):
+    """dexp_oracle keeps Gamma, d Gamma and the curvature with its temporaries,
+    d^3 + 3 d^4 doubles, at each of the 2*steps + 1 nodes of every geodesic."""
+    d, steps = cfg["model"].dimension, cfg["steps"]
+    _within_budget((2 * steps + 1) * batch * (d**3 + 3 * d**4) * 8,
+                   f"ODE oracle node store ({batch} x {steps} steps in dimension {d})")
+
+
 def _series(cfg, route):
     """route(ops) on the Taylor-route operators r_n(v), each stage in the double range."""
     model, order = cfg["model"], max(0, cfg["max_degree"] - 2)
     d = model.dimension
     # christoffel_jet(p, K+1), d^3 doubles per monomial
-    nbytes = math.comb(d + order + 1, d) * d**3 * 8
-    if nbytes > MAX_JET_BYTES:
-        raise InvalidInput(f"max_degree {cfg['max_degree']} in dimension {d} needs "
-                           f"{nbytes / 2**30:.1f} GiB of Christoffel jet "
-                           f"(limit {MAX_JET_BYTES / 2**30:g} GiB)")
+    _within_budget(math.comb(d + order + 1, d) * d**3 * 8,
+                   f"Christoffel jet for max_degree {cfg['max_degree']} in dimension {d}")
     with _double_range("curvature operators r_n(v)"):
         ops = curvature_operators(model, cfg["point"], cfg["vector"], order)
         if not np.all(np.isfinite(ops)):  # einsum raises no floating-point errors
@@ -237,6 +249,7 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
+    _oracle_budget(cfg, batch=1)
     ev = _series(cfg, lambda ops: evaluate_closed_form(ops, max_degree=n))
     with _double_range("ODE oracle"):
         oracle_op = dexp_oracle(cfg["model"], cfg["point"], cfg["vector"], cfg["steps"])
@@ -266,6 +279,7 @@ def cmd_convergence(args) -> int:
     t_values = [_positive(t, "t value") for t in t_values]
     if any(t > 0.5 for t in t_values):
         raise InvalidInput("t values must lie in (0, 0.5]")
+    _oracle_budget(cfg, batch=len(t_values))
 
     comps = _series(cfg, lambda ops: closed_form_components(ops, max_degree=n))
     t_values = sorted(t_values)
@@ -306,6 +320,13 @@ def cmd_lemma2(args) -> int:
     order = cfg["n"]
     if not 0 <= order <= 4:
         raise InvalidInput("derivative order must lie in 0..4")
+    d, steps = cfg["model"].dimension, cfg["steps"]
+    # Gamma at every node of the 13 stencil geodesics (9 offsets at two spacings)
+    _within_budget((2 * steps + 1) * 13 * d**3 * 8,
+                   f"stencil node store (13 x {steps} steps in dimension {d})")
+    if order >= 2:  # the Christoffel jet of degree n - 1 and nabla^(n-2) R, d^(n+2) entries
+        _within_budget((math.comb(d + order - 1, d) * d**3 + d ** (order + 2)) * 8,
+                       f"dense prediction for order {order} in dimension {d}")
     with _double_range("transported curvature derivatives"):
         check = curvature_derivative_table(cfg["model"], cfg["point"], cfg["vector"], [order],
                                            steps=cfg["steps"], fd_step=cfg["fd_step"])[order]

@@ -11,6 +11,7 @@ curvature pipeline.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,12 +152,42 @@ class HyperbolicSpace(_ConformalModel):
         return np.einsum("...i,...i->...", x, x) < 1.0
 
 
+@lru_cache(maxsize=None)
+def _poly_tables(d: int, degree: int):
+    """Read-only exponent tables shared by every polynomial model of (d, degree).
+
+    Returns the monomial exponents (M, d); the lowered exponents (d, M, d),
+    [a, s] = exps[s] - 1_a floored at 0, for the partials; and the shift
+    exponents and binomials (M, M, d) and (M, M) for recentering.  The target
+    monomials of a shift are the same set: a shifted degree-D polynomial has
+    degree D.
+    """
+    exps = monomial_exponents(d, degree)
+    lowered = np.clip(exps[None, :, :] - np.eye(d, dtype=exps.dtype)[:, None, :], 0, None)
+    ea = exps[:, None, :]
+    eb = exps[None, :, :]
+    diff = ea - eb
+    valid = np.all(diff >= 0, axis=2)
+    shift_exps = np.clip(diff, 0, None)
+    comb = np.vectorize(math.comb)
+    binom = np.where(valid, np.prod(comb(ea, np.minimum(eb, ea)), axis=2), 0.0)
+    for table in (lowered, shift_exps, binom):
+        table.flags.writeable = False
+    return exps, lowered, shift_exps, binom
+
+
 class PolynomialConnection(ManifoldModel):
     """A generic non-metric torsion-free connection with polynomial Christoffels.
 
     Coefficients are drawn uniformly from [-scale, scale] per monomial and
     symmetrized in the lower index pair; generation is deterministic in the
     seed.  Jets are exact polynomial recenterings.
+
+    Gamma, its partials and the jet all weight the coefficients by monomials
+    x^e.  Each call builds one power table x_a^k (k = 0..D, d (D+1) pow
+    calls) and gathers the d factors of every monomial from it, instead of
+    one pow per (monomial, variable) pair.  The exponent tables are shared,
+    read-only, by all models of the same dimension and degree.
     """
 
     name = "polynomial"
@@ -174,45 +205,40 @@ class PolynomialConnection(ManifoldModel):
         self.seed = int(seed)
 
         d = dimension
-        exps = monomial_exponents(d, self.max_poly_degree)
+        self._exps, self._lowered_exps, self._shift_exps, self._shift_binom = _poly_tables(
+            d, self.max_poly_degree)
         rng = np.random.default_rng(self.seed)
-        raw = rng.uniform(-self.scale, self.scale, size=(len(exps), d, d, d))
+        raw = rng.uniform(-self.scale, self.scale, size=(len(self._exps), d, d, d))
         self.coefficients = 0.5 * (raw + raw.swapaxes(2, 3))
-        self._exps = exps
-        self._lowered_exps = np.clip(exps[None, :, :] - np.eye(d, dtype=exps.dtype)[:, None, :],
-                                     0, None)  # [a, s] = exps[s] - 1_a, floored at 0
-
-        # shift tables: binomials and exponent differences for recentering,
-        # target monomials are the same set (a shifted degree-D polynomial has
-        # degree D)
-        ea = exps[:, None, :]
-        eb = exps[None, :, :]
-        diff = ea - eb
-        valid = np.all(diff >= 0, axis=2)
-        self._shift_exps = np.clip(diff, 0, None)
-        comb = np.vectorize(math.comb)
-        binom = np.prod(comb(ea, np.minimum(eb, ea)), axis=2)
-        self._shift_binom = np.where(valid, binom, 0.0)
 
     def in_domain(self, x) -> np.ndarray:
         return np.einsum("...i,...i->...", x, x) < 1.0
 
+    def _monomials(self, x: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        """x^e for every exponent row e of exps (..., d), at chart points x (..., d).
+
+        The d (D+1) powers x_a^k come from one pow table and are gathered per
+        exponent row, so every factor is the same pow value as x_a ** e_a and
+        the product runs in the same order."""
+        d = self.dimension
+        powers = x[..., :, None] ** np.arange(self.max_poly_degree + 1)
+        return np.multiply.reduce(powers[..., np.arange(d), exps], axis=-1)
+
     def christoffel(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        weights = np.prod(x[..., None, :] ** self._exps, axis=-1)
+        weights = self._monomials(x, self._exps)
         return np.einsum("...s,skij->...kij", weights, self.coefficients)
 
     def christoffel_partials(self, x) -> np.ndarray:
         # d_a x^e = e_a x^(e - 1_a): lowered exponents times the old exponent
         x = np.asarray(x, dtype=float)
-        weights = self._exps.T * np.prod(x[..., None, None, :] ** self._lowered_exps, axis=-1)
+        weights = self._exps.T * self._monomials(x, self._lowered_exps)
         return np.einsum("...as,skij->...akij", weights, self.coefficients)
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
         d = self.dimension
-        powers = np.prod(x[None, None, :] ** self._shift_exps, axis=2)
-        weights = self._shift_binom * powers
+        weights = self._shift_binom * self._monomials(x, self._shift_exps)
         shifted = np.einsum("st,skij->tkij", weights, self.coefficients)
         out = PolyTensor.zeros(d, order, (d, d, d))
         rows = min(out.data.shape[0], shifted.shape[0])

@@ -74,10 +74,11 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
-def test_short_run_ends_in_a_strict_json_result():
+@pytest.mark.parametrize("workload", ["eval-sweep", "oracle-stencil"])
+def test_short_run_ends_in_a_strict_json_result(workload):
     # a run whose last line is not a parsable result measures nothing
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "eval-sweep",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "0.2", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

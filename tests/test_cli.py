@@ -280,8 +280,12 @@ def test_verify_negative_tolerance_is_invalid(tmp_path, capsys):
                     "--tolerance", "-1"], capsys)
 
 
-@pytest.mark.parametrize("text", ["[1, 2]", json.dumps(dict(SPHERE_CONFIG, manifold="sphere"))],
-                         ids=["list", "string-manifold"])
+# json.load reads an integer of more than 4300 digits with a plain ValueError,
+# not a JSONDecodeError
+@pytest.mark.parametrize("text", ["[1, 2]", json.dumps(dict(SPHERE_CONFIG, manifold="sphere")),
+                                  '{"manifold": {"kind": "flat", "dimension": ' + "9" * 5000
+                                  + '}, "vector": [0.1, 0.0]}'],
+                         ids=["list", "string-manifold", "5000-digit-integer"])
 def test_malformed_config_shape_is_invalid(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     path.write_text(text)
@@ -401,3 +405,33 @@ def test_bad_dimension_is_invalid(tmp_path, capsys, dimension):
     assert main(["eval", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad manifold config: dimension") and err.count("\n") == 1, err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the byte budget must refuse the input before this runs")
+
+
+@pytest.mark.parametrize("command, manifold, steps, extra, patched, stage", [
+    # 200001 nodes x (10^3 + 3 * 10^4) doubles: about 46 GiB
+    ("verify", {"kind": "sphere", "dimension": 10}, 100_000, [], "dexp_oracle",
+     "ODE oracle node store"),
+    # one d = 3 geodesic of 100000 steps fits (0.4 GiB); the five of the t sweep do not
+    ("convergence", {"kind": "polynomial", "dimension": 3}, 100_000, [], "dexp_oracle",
+     "ODE oracle node store"),
+    # Gamma at 20001 nodes of 13 geodesics in d = 10: about 1.9 GiB
+    ("lemma2", {"kind": "sphere", "dimension": 10}, 10_000, ["--n", "2"],
+     "curvature_derivative_table", "stencil node store"),
+    # nabla^2 R in d = 20 holds 20^6 doubles, plus the degree-3 Christoffel jet
+    ("lemma2", {"kind": "flat", "dimension": 20}, 100, ["--n", "4"],
+     "curvature_derivative_table", "dense prediction"),
+], ids=["verify-d10", "convergence-batch", "lemma2-nodes", "lemma2-dense"])
+def test_oracle_and_lemma2_over_budget_are_refused_before_they_allocate(
+        tmp_path, capsys, monkeypatch, command, manifold, steps, extra, patched, stage):
+    monkeypatch.setattr(f"dexpseries.cli.{patched}", _never_called)
+    d = manifold["dimension"]
+    cfg = {"manifold": manifold, "point": [0.0] * d, "vector": [0.1] + [0.0] * (d - 1),
+           "max_degree": 4, "steps": steps}
+    capsys.readouterr()
+    assert main([command, "--config", write_config(tmp_path, cfg)] + extra) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: " + stage), err

@@ -188,3 +188,51 @@ def test_christoffel_partials_match_jet_and_central_difference(model):
             assert np.max(np.abs(partials[a] - jet.diff(a).value)) <= 1e-13
             central = (model.christoffel(p + h * e) - model.christoffel(p - h * e)) / (2 * h)
             assert np.max(np.abs(partials[a] - central)) <= 1e-7
+
+
+def _reference_monomials(x, exps):
+    # the elementwise x ** e power of every (monomial, variable) pair
+    return np.prod(x[..., None, :] ** exps, axis=-1)
+
+
+def _reference_christoffel(model, x):
+    weights = _reference_monomials(x, model._exps)
+    return np.einsum("...s,skij->...kij", weights, model.coefficients)
+
+
+def _reference_partials(model, x):
+    weights = model._exps.T * np.prod(x[..., None, None, :] ** model._lowered_exps, axis=-1)
+    return np.einsum("...as,skij->...akij", weights, model.coefficients)
+
+
+def _reference_jet_rows(model, x):
+    powers = np.prod(x[None, None, :] ** model._shift_exps, axis=2)
+    return np.einsum("st,skij->tkij", model._shift_binom * powers, model.coefficients)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+@pytest.mark.parametrize("poly_degree", [0, 1, 3, 5])
+def test_polynomial_power_table_is_bit_identical_to_elementwise_powers(d, poly_degree):
+    model = polynomial_connection(d, poly_degree, 0.5, 3)
+    rng = np.random.default_rng(10 * d + poly_degree)
+    for shape in [(d,), (12, d), (2, 6, d)]:
+        x = rng.uniform(-0.6, 0.6, size=shape)
+        assert np.array_equal(model.christoffel(x), _reference_christoffel(model, x))
+        assert np.array_equal(model.christoffel_partials(x), _reference_partials(model, x))
+    p = rng.uniform(-0.5, 0.5, size=d)
+    shifted = _reference_jet_rows(model, p)
+    for order in sorted({max(poly_degree - 1, 0), poly_degree, poly_degree + 2}):
+        data = model.christoffel_jet(p, order).data
+        rows = min(len(data), len(shifted))  # truncated below D, zero-padded above
+        assert np.array_equal(data[:rows], shifted[:rows]) and not np.any(data[rows:])
+
+
+def test_polynomial_models_share_read_only_exponent_tables():
+    a = polynomial_connection(3, 3, 0.5, 1)
+    b = polynomial_connection(3, 3, 0.5, 2)
+    tables = ("_exps", "_lowered_exps", "_shift_exps", "_shift_binom")
+    for name in tables:
+        assert getattr(a, name) is getattr(b, name)
+        with pytest.raises(ValueError):
+            getattr(a, name)[(0,) * getattr(a, name).ndim] = 7
+    assert not np.array_equal(a.coefficients, b.coefficients)

@@ -94,7 +94,7 @@ def test_point_outside_chart_and_bad_order():
                          ids=["sphere6", "polynomial6"])
 def test_peak_memory_stays_near_the_christoffel_jet(model, max_order):
     # the route's one large array is christoffel_jet(p, K+1), the bytes that
-    # cli.MAX_JET_BYTES counts; the partials along the curve copy no jet rows
+    # cli.MAX_ARRAY_BYTES counts; the partials along the curve copy no jet rows
     d = model.dimension
     p, v = np.full(d, 0.05), np.linspace(0.1, 0.2, d)
     curvature_operators(model, p, v, max_order)  # builds the cached monomial tables
