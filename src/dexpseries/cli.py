@@ -101,7 +101,7 @@ def _load_config(args) -> dict:
         manifold_cfg["seed"] = args.seed
     try:
         model = manifolds.from_config(manifold_cfg)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise InvalidInput(f"bad manifold config: {exc}")
 
     point = _finite_vector(cfg.get("point", [0.0] * model.dimension), "point", model.dimension)

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import ManifoldModel
-from .polyjet import PolyTensor, monomial_exponents, monomial_indices
+from .polyjet import PolyTensor, lowering_table, monomial_exponents
 
 MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial shift tables
 
@@ -107,18 +107,19 @@ class _ConformalModel(ManifoldModel):
         x = np.asarray(x, dtype=float)
         d, sigma, u0 = self.dimension, self._sigma, self._u(x)
         source = -2.0 * sigma * self._symbol_pattern(np.vstack([x, np.eye(d)]))  # A(x), A(e_a)
-        lookup = monomial_indices(d, order)
+        low = lowering_table(d, order).tolist()  # low[a][m]: row of exps[m] - 1_a
         jet = PolyTensor.zeros(d, order, (d, d, d))
         g = jet.data
-        for e, m in lookup.items():  # graded order: lower monomials are solved first
+        for m, e in enumerate(monomial_exponents(d, order).tolist()):  # lower rows solved first
             total = sum(e)
             acc = source[0] if total == 0 else source[1 + e.index(1)] if total == 1 else 0.0
             for a in range(d):
                 if e[a] == 0:
                     continue
-                acc = acc - 2.0 * sigma * x[a] * g[lookup[e[:a] + (e[a] - 1,) + e[a + 1:]]]
+                lower = low[a][m]
+                acc = acc - 2.0 * sigma * x[a] * g[lower]
                 if e[a] >= 2:
-                    acc = acc - sigma * g[lookup[e[:a] + (e[a] - 2,) + e[a + 1:]]]
+                    acc = acc - sigma * g[low[a][lower]]
             g[m] = acc / u0
         return jet
 
@@ -263,31 +264,41 @@ def polynomial_connection(dimension: int, max_poly_degree: int = 3,
     return PolynomialConnection(dimension, max_poly_degree, scale, seed)
 
 
+def _integer(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)  # OverflowError for an integer past the float range
+
+
 def from_config(config: dict) -> ManifoldModel:
-    """Build a model from a CLI-style description dict."""
+    """Build a model from a CLI-style description dict of JSON-typed fields."""
     cfg = dict(config)
     kind = cfg.pop("kind", None)
     if kind is None:
         raise ValueError("manifold config needs a 'kind' field")
-    d = cfg.pop("dimension")
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise ValueError(f"dimension must be an integer, got {d!r}")
+    d = _integer(cfg.pop("dimension"), "dimension")
     if 8 * d**4 > MAX_POLY_TABLE_BYTES:  # the (d, d, d, d) curvature or dGamma at a point
         raise ValueError(f"dimension {d} is too large: one (d, d, d, d) array would exceed "
                          f"{MAX_POLY_TABLE_BYTES // 2**20} MiB")
     if kind == "flat":
         model = flat(d)
     elif kind == "sphere":
-        model = sphere(d, float(cfg.pop("radius", 1.0)))
+        model = sphere(d, _number(cfg.pop("radius", 1.0), "radius"))
     elif kind == "hyperbolic":
         model = hyperbolic(d)
     elif kind == "polynomial":
-        poly_degree = int(cfg.pop("degree", 3))
+        poly_degree = _integer(cfg.pop("degree", 3), "degree")
         m = math.comb(d + max(poly_degree, 0), d)  # monomials of degree <= poly_degree
         if 8 * m * d * (m + d * d) > MAX_POLY_TABLE_BYTES:  # (M, M, d) and (M, d, d, d)
             raise ValueError(f"polynomial degree {poly_degree} is too high for dimension {d}")
-        model = polynomial_connection(
-            d, poly_degree, float(cfg.pop("scale", 0.5)), int(cfg.pop("seed", 0)))
+        model = polynomial_connection(d, poly_degree, _number(cfg.pop("scale", 0.5), "scale"),
+                                      _integer(cfg.pop("seed", 0), "seed"))
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
     if cfg:

@@ -227,10 +227,13 @@ def fd_weights(offsets: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
     return tuple(_solve_fraction_system(matrix, rhs))
 
 
+MAX_MOMENT_PROBE = 20  # Taylor moments probed for a stencil's leading error term
+
+
 @lru_cache(maxsize=None)
-def _stencil_error_order(offsets, weights, order, max_probe=20) -> int:
+def _stencil_error_order(offsets, weights, order) -> int:
     """Exponent q with stencil error O(h^q): first unmatched Taylor moment."""
-    for m in range(len(offsets), max_probe):
+    for m in range(len(offsets), MAX_MOMENT_PROBE):
         moment = sum(w * Fraction(s) ** m for w, s in zip(weights, offsets))
         moment -= Fraction(math.factorial(order)) if m == order else 0
         if moment != 0:

@@ -13,7 +13,13 @@ Coefficients are Taylor coefficients (partial derivative / multi-index
 factorial), so the degree-0 row is the field's value at the base point and the
 degree-1 rows are its first partial derivatives.
 
-Products (contract) convolve monomial indices through a dense product table,
+Every lookup of a neighbouring monomial goes through one mixed-radix key
+search (_radix_lookup), cached as two read-only tables: product_table (the
+row of e + e') and lowering_table (the row of e - 1_a).  The lowering table
+serves derivatives, the Taylor route's monomial recursion and the conformal
+Christoffel jets.
+
+Products (contract) convolve monomial indices through the product table,
 and the tensor slots of the two factors combine through a caller-supplied
 einsum subscript.  They serve the dense covariant-derivative tower in
 geometry, the cross-check of the Taylor route; no production path multiplies
@@ -28,6 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .series import compositions
+
 
 @lru_cache(maxsize=None)
 def monomial_count(dim: int, degree: int) -> int:
@@ -36,48 +44,58 @@ def monomial_count(dim: int, degree: int) -> int:
     return math.comb(degree + dim, dim)
 
 
-def _exponents_of_degree(total: int, dim: int):
-    if dim == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exponents_of_degree(total - first, dim - 1):
-            yield (first,) + rest
-
-
 @lru_cache(maxsize=None)
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     """(M, dim) integer array of exponent tuples, graded then lexicographic."""
     rows = []
     for total in range(degree + 1):
-        rows.extend(_exponents_of_degree(total, dim))
+        rows.extend(compositions(total, dim))
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
     arr.flags.writeable = False
     return arr
 
 
-@lru_cache(maxsize=None)
-def monomial_indices(dim: int, degree: int) -> dict:
-    return {tuple(e): i for i, e in enumerate(monomial_exponents(dim, degree))}
+def _radix_lookup(dim: int, degree: int, base: int):
+    """Mixed-radix keys of the monomials of degree <= `degree`, and their inverse.
+
+    Returns the key weights r = (base^k) and a function mapping keys e . r to
+    rows, or -1 where no monomial has that key.  Keys are exact for exponent
+    entries below `base`; past int64 they are Python integers."""
+    dtype = np.int64 if base**dim < 2**63 else object
+    r = np.array([base**k for k in range(dim)], dtype=dtype)
+    keys = monomial_exponents(dim, degree).astype(dtype) @ r
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def rows(query):
+        pos = np.minimum(np.searchsorted(sorted_keys, query), len(order) - 1)
+        return np.where(sorted_keys[pos] == query, order[pos], -1).astype(np.int64)
+
+    return r, rows
 
 
 @lru_cache(maxsize=None)
 def product_table(dim: int, deg_a: int, deg_b: int, deg_out: int) -> np.ndarray:
     """(Ma, Mb) table: index of monomial e_a + e_b among degree <= deg_out, or -1.
 
-    Mixed-radix keys e . base^k (every entry < base) add under products and
-    are looked up among the sorted output keys."""
-    ea = monomial_exponents(dim, deg_a)
-    eb = monomial_exponents(dim, deg_b)
-    eo = monomial_exponents(dim, deg_out)
-    base = max(deg_a + deg_b, deg_out) + 1
-    dtype = np.int64 if base**dim < 2**63 else object  # Python integers past int64
-    r = np.array([base**k for k in range(dim)], dtype=dtype)
-    keys = (ea.astype(dtype) @ r)[:, None] + (eb.astype(dtype) @ r)[None, :]
-    out_keys = eo.astype(dtype) @ r
-    order = np.argsort(out_keys)
-    pos = np.minimum(np.searchsorted(out_keys[order], keys), len(eo) - 1)
-    table = np.where(out_keys[order][pos] == keys, order[pos], -1).astype(np.int64)
+    Mixed-radix keys (every entry < base) add under products."""
+    r, rows = _radix_lookup(dim, deg_out, max(deg_a + deg_b, deg_out) + 1)
+    ka = monomial_exponents(dim, deg_a).astype(r.dtype) @ r
+    kb = monomial_exponents(dim, deg_b).astype(r.dtype) @ r
+    table = rows(ka[:, None] + kb[None, :])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def lowering_table(dim: int, degree: int) -> np.ndarray:
+    """(dim, M) table: [a, m] is the row of exps[m] - 1_a, or -1 where exps[m][a] == 0.
+
+    By the prefix property its first columns are the table of any lower degree."""
+    exps = monomial_exponents(dim, degree)
+    r, rows = _radix_lookup(dim, degree, degree + 1)
+    keys = exps.astype(r.dtype) @ r
+    table = np.where(exps.T > 0, rows(keys[None, :] - r[:, None]), -1)
     table.flags.writeable = False
     return table
 
@@ -85,22 +103,9 @@ def product_table(dim: int, deg_a: int, deg_b: int, deg_out: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _diff_table(dim: int, degree: int, var: int):
     """(src, dst, factor) index arrays implementing d/dxi_var on coefficient rows."""
-    exps = monomial_exponents(dim, degree)
-    lookup = monomial_indices(dim, degree - 1) if degree >= 1 else {}
-    src, dst, fac = [], [], []
-    for i, e in enumerate(exps):
-        if e[var] == 0:
-            continue
-        target = list(e)
-        target[var] -= 1
-        src.append(i)
-        dst.append(lookup[tuple(target)])
-        fac.append(e[var])
-    return (
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        np.array(fac, dtype=float),
-    )
+    lowered = lowering_table(dim, degree)[var]
+    src = np.flatnonzero(lowered >= 0)
+    return src, lowered[src], monomial_exponents(dim, degree)[src, var].astype(float)
 
 
 class PolyTensor:

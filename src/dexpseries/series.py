@@ -70,13 +70,13 @@ def coefficient(nu: Word) -> Fraction:
     return Fraction(1, word_factorial(nu) * denominator(nu))
 
 
-def _compositions(total: int, parts: int):
+def compositions(total: int, parts: int):
     """All tuples of `parts` nonnegative ints summing to `total`, lexicographic."""
     if parts == 1:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -88,7 +88,7 @@ def words_of_degree(n: int) -> list[Word]:
         return [()]
     out: list[Word] = []
     for k in range(1, n // 2 + 1):
-        out.extend(_compositions(n - 2 * k, k))
+        out.extend(compositions(n - 2 * k, k))
     return out
 
 

@@ -11,8 +11,10 @@ stored as an array whose leading axis is the power of t:
 
 * the geodesic coefficients, solved order by order from x'' = -Gamma(x)(x', x');
 * Gamma and its first partials along the curve, by composing the model's
-  christoffel_jet(p, K+1) with x(t) - p, one coefficient per step (the
-  partials reuse the jet rows, so the jet is the one large array);
+  christoffel_jet(p, K+1) with x(t) - p, one coefficient per step.  Each
+  monomial's series is its parent's times one variable, the parent read from
+  polyjet's lowering table; the partials reuse the jet rows through the same
+  table, so the jet is the one large array;
 * the frame F (F' = A F with A = -Gamma(x)(x', .)) and its inverse
   (H' = -H A);
 * T = H M F with M = R(x', .) x', read off as r_n = n! [t^n] T.
@@ -25,32 +27,11 @@ tensor or a multivariate polynomial product.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
 from .geometry import ManifoldModel
-from .polyjet import _diff_table, monomial_exponents, monomial_indices
-
-
-@lru_cache(maxsize=None)
-def _monomial_tree(dim: int, degree: int):
-    """Each monomial of positive degree as parent * xi_var.
-
-    Returns (rows, variables, parents) as index arrays; the parent of a
-    degree-1 monomial is the constant monomial, row 0.
-    """
-    exps = monomial_exponents(dim, degree)
-    lookup = monomial_indices(dim, degree)
-    rows, variables, parents = [], [], []
-    for row, e in enumerate(exps[1:], start=1):
-        var = int(np.flatnonzero(e)[0])
-        parent = e.copy()
-        parent[var] -= 1
-        rows.append(row)
-        variables.append(var)
-        parents.append(lookup[tuple(parent)])
-    return tuple(np.array(a, dtype=np.int64) for a in (rows, variables, parents))
+from .polyjet import _diff_table, lowering_table, monomial_exponents
 
 
 def _cauchy(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -85,7 +66,9 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
     K = max_order
 
     gamma = model.christoffel_jet(p, K + 1)  # rows: monomials in xi = x - p
-    rows, variables, parents = _monomial_tree(d, K + 1)
+    # each monomial of positive degree is parent * xi_var, var its first nonzero exponent
+    variables = np.argmax(monomial_exponents(d, K + 1)[1:] > 0, axis=1)
+    parents = lowering_table(d, K + 1)[variables, np.arange(1, len(gamma.data))]
 
     xi = np.zeros((K + 2, d))          # x(t) - p
     xi[1] = v
@@ -98,8 +81,8 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
         if k >= 1:
             # [t^k] parent * xi_var; xi has no constant term, so only columns
             # below k of the parents enter
-            mono[rows, k] = np.einsum("jh,hj->h", xi[1:k + 1, variables],
-                                      mono[parents, k - 1::-1])
+            mono[1:, k] = np.einsum("jh,hj->h", xi[1:k + 1, variables],
+                                    mono[parents, k - 1::-1])
         g[k] = np.tensordot(mono[:, k], gamma.data, axes=1)
         vel[k] = (k + 1) * xi[k + 1]
         vv[k] = np.einsum("ja,jb->ab", vel[:k + 1], vel[k::-1])

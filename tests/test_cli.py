@@ -326,19 +326,33 @@ def test_one_geodesic_of_the_batch_leaving_the_chart_is_invalid(tmp_path, capsys
     assert_invalid([command, "--config", write_config(tmp_path, cfg)] + extra, capsys)
 
 
-BAD_MODEL_PARAMETERS = [{"kind": "sphere", "dimension": 2, "radius": float("inf")},
-                        {"kind": "sphere", "dimension": 2, "radius": float("nan")},
-                        {"kind": "polynomial", "dimension": 2, "scale": float("inf")},
-                        {"kind": "polynomial", "dimension": 2, "scale": float("-inf")}]
+# json writes inf and nan as Infinity and NaN, which Python's json reads back
+# (as it reads 1e400); an infinite radius would otherwise run as flat space.
+# degree and seed were truncated by int(), radius and scale read by float()
+BAD_MODEL_PARAMETERS = {
+    "radius-inf": {"kind": "sphere", "dimension": 2, "radius": float("inf")},
+    "radius-nan": {"kind": "sphere", "dimension": 2, "radius": float("nan")},
+    "scale-inf": {"kind": "polynomial", "dimension": 2, "scale": float("inf")},
+    "scale-minus-inf": {"kind": "polynomial", "dimension": 2, "scale": float("-inf")},
+    "degree-2.5": {"kind": "polynomial", "dimension": 2, "degree": 2.5},
+    "degree-true": {"kind": "polynomial", "dimension": 2, "degree": True},
+    "degree-inf": {"kind": "polynomial", "dimension": 2, "degree": float("inf")},
+    "seed-1.9": {"kind": "polynomial", "dimension": 2, "seed": 1.9},
+    "seed-inf": {"kind": "polynomial", "dimension": 2, "seed": float("inf")},
+    "seed-string": {"kind": "polynomial", "dimension": 2, "seed": "3"},
+    "scale-true": {"kind": "polynomial", "dimension": 2, "scale": True},
+    "scale-string": {"kind": "polynomial", "dimension": 2, "scale": "2"},
+    "scale-400-digits": {"kind": "polynomial", "dimension": 2, "scale": 10**400},
+    "radius-true": {"kind": "sphere", "dimension": 2, "radius": True},
+    "radius-string": {"kind": "sphere", "dimension": 2, "radius": "2"},
+    "radius-400-digits": {"kind": "sphere", "dimension": 2, "radius": 10**400},
+}
 
 
 @pytest.mark.parametrize("command, extra", [("eval", []), ("verify", []), ("lemma2", ["--n", "2"])],
                          ids=["eval", "verify", "lemma2"])
-@pytest.mark.parametrize("manifold", BAD_MODEL_PARAMETERS,
-                         ids=["radius-inf", "radius-nan", "scale-inf", "scale-minus-inf"])
+@pytest.mark.parametrize("manifold", BAD_MODEL_PARAMETERS.values(), ids=BAD_MODEL_PARAMETERS)
 def test_non_finite_model_parameter_is_invalid(tmp_path, capsys, command, extra, manifold):
-    # json writes these as Infinity and NaN, which Python's json reads back;
-    # an infinite radius would otherwise run as flat space
     cfg = {"manifold": manifold, "vector": [0.1, 0.05], "steps": 100}
     assert_invalid([command, "--config", write_config(tmp_path, cfg)] + extra, capsys)
 

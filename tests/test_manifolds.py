@@ -9,6 +9,7 @@ from dexpseries.manifolds import (
     polynomial_connection,
     sphere,
 )
+from dexpseries.polyjet import monomial_exponents
 
 
 def seeded_points(model, count, rng, radius=0.35):
@@ -129,6 +130,7 @@ def test_from_config():
     m = from_config({"kind": "polynomial", "dimension": 3, "degree": 2, "scale": 0.1, "seed": 9})
     assert m.seed == 9 and m.max_poly_degree == 2
     assert isinstance(from_config({"kind": "flat", "dimension": 2}), FlatSpace)
+    assert from_config({"kind": "sphere", "dimension": 2, "radius": 3}).radius == 3.0
     with pytest.raises(ValueError):
         from_config({"kind": "torus", "dimension": 2})
     with pytest.raises(ValueError):
@@ -236,3 +238,32 @@ def test_polynomial_models_share_read_only_exponent_tables():
         with pytest.raises(ValueError):
             getattr(a, name)[(0,) * getattr(a, name).ndim] = 7
     assert not np.array_equal(a.coefficients, b.coefficients)
+
+
+def _reference_conformal_jet(model, x, order):
+    """The division recurrence with monomials looked up by exponent tuple."""
+    d, sigma, u0 = model.dimension, model._sigma, model._u(x)
+    source = -2.0 * sigma * model._symbol_pattern(np.vstack([x, np.eye(d)]))
+    lookup = {tuple(e): i for i, e in enumerate(monomial_exponents(d, order).tolist())}
+    g = np.zeros((len(lookup), d, d, d))
+    for e, m in lookup.items():
+        total = sum(e)
+        acc = source[0] if total == 0 else source[1 + e.index(1)] if total == 1 else 0.0
+        for a in range(d):
+            if e[a] == 0:
+                continue
+            acc = acc - 2.0 * sigma * x[a] * g[lookup[e[:a] + (e[a] - 1,) + e[a + 1:]]]
+            if e[a] >= 2:
+                acc = acc - sigma * g[lookup[e[:a] + (e[a] - 2,) + e[a + 1:]]]
+        g[m] = acc / u0
+    return g
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("make", [sphere, hyperbolic], ids=["sphere", "hyperbolic"])
+def test_conformal_jet_is_bit_identical_to_tuple_lookup_recurrence(make, d):
+    model = make(d)
+    x = np.random.default_rng(d).uniform(-0.4, 0.4, size=d)
+    for order in range(9):
+        assert np.array_equal(model.christoffel_jet(x, order).data,
+                              _reference_conformal_jet(model, x, order))

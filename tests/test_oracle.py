@@ -288,9 +288,11 @@ def test_oracle_avoids_dense_machinery(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("jet or dense-tower code called by the oracle")
 
-    for module in (dexpseries.polyjet, dexpseries.geometry, dexpseries.manifolds):
-        if hasattr(module, "contract"):
-            monkeypatch.setattr(module, "contract", forbidden)
+    for module in (dexpseries.polyjet, dexpseries.geometry, dexpseries.manifolds,
+                   dexpseries.taylor):
+        for name in ("contract", "lowering_table", "_diff_table"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(dexpseries.geometry, "covariant_derivative", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "curvature_polynomial", forbidden)
     for m, _, _ in cases:

@@ -3,7 +3,9 @@ import pytest
 
 from dexpseries.polyjet import (
     PolyTensor,
+    _diff_table,
     contract,
+    lowering_table,
     monomial_count,
     monomial_exponents,
     product_table,
@@ -173,3 +175,40 @@ def test_product_table_matches_reference_loop(args):
     table = product_table(*args)
     assert table.dtype == np.int64
     assert np.array_equal(table, reference_product_table(*args))
+
+
+def reference_lowering_table(dim, degree):
+    """The plain loop over monomials and variables."""
+    exps = monomial_exponents(dim, degree)
+    lookup = {tuple(e): i for i, e in enumerate(exps)}
+    table = np.full((dim, len(exps)), -1, dtype=np.int64)
+    for m, e in enumerate(exps):
+        for a in range(dim):
+            if e[a] > 0:
+                lowered = list(e)
+                lowered[a] -= 1
+                table[a, m] = lookup[tuple(lowered)]
+    return table
+
+
+@pytest.mark.parametrize("args", [(1, 0), (3, 0), (1, 5), (2, 6), (3, 4), (4, 3), (6, 2),
+                                  (40, 2)],
+                         ids=lambda a: "-".join(map(str, a)))
+def test_lowering_table_matches_reference_loop(args):
+    # (40, 2) has mixed-radix keys past int64 (3**40)
+    table = lowering_table(*args)
+    assert table.dtype == np.int64
+    assert np.array_equal(table, reference_lowering_table(*args))
+    with pytest.raises(ValueError):
+        table[0, 0] = 5
+
+
+@pytest.mark.parametrize("dim, degree", [(1, 4), (2, 5), (3, 3), (4, 2)])
+def test_diff_table_is_the_lowering_table_with_exponent_factors(dim, degree):
+    exps = monomial_exponents(dim, degree)
+    lower = {tuple(e): i for i, e in enumerate(monomial_exponents(dim, degree - 1))}
+    for var in range(dim):
+        src, dst, fac = _diff_table(dim, degree, var)
+        want = [(i, lower[tuple(e - np.eye(dim, dtype=int)[var])], float(e[var]))
+                for i, e in enumerate(exps) if e[var] > 0]
+        assert list(zip(src.tolist(), dst.tolist(), fac.tolist())) == want
