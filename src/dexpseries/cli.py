@@ -42,44 +42,52 @@ MIN_STEPS = 100
 MAX_STEPS = 100_000  # the oracle stores 2*steps + 1 trajectory nodes
 MAX_ARRAY_BYTES = 2**29  # the largest arrays of a command, checked before they exist
 DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
-CONFIG_FIELDS = frozenset({"manifold", "point", "vector", "max_degree", "steps", "fd_step",
-                           "tolerance", "t_values", "n"})
 
 
 class InvalidInput(ValueError):
     pass
 
 
-def _integer(value, name: str) -> int:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    if not number.is_integer():
-        raise InvalidInput(f"{name} must be an integer, got {value!r}")
-    return int(number)
-
-
-def _positive(value, name: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"{name} must be a number, got {value!r}")
-    if not (math.isfinite(number) and number > 0.0):
-        raise InvalidInput(f"{name} must be positive and finite, got {value!r}")
-    return number
-
-
-def _finite_vector(value, name: str, dimension: int) -> np.ndarray:
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidInput(f"{name} must be a list of numbers")
-    if out.shape != (dimension,):
-        raise InvalidInput(f"{name} must have {dimension} components")
-    if not np.all(np.isfinite(out)):
-        raise InvalidInput(f"{name} components must be finite")
+def _t_values(value, name: str) -> list[float]:
+    """At least two distinct t in (0, 0.5], sorted: the fewest a slope can be fitted to."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of numbers, got {value!r}")
+    out = sorted(manifolds.number(t, f"{name} entry", low=0.0, high=0.5) for t in value)
+    if len(set(out)) < 2:
+        raise ValueError(f"{name} needs at least two distinct values, got {value!r}")
     return out
+
+
+# run field -> (reader, default); a flag of the same name overrides the config value
+RUN_FIELDS = {
+    "max_degree": (functools.partial(manifolds.integer, low=0, high=MAX_DEGREE_CAP), 10),
+    "steps": (functools.partial(manifolds.integer, low=MIN_STEPS, high=MAX_STEPS), 2000),
+    "fd_step": (functools.partial(manifolds.number, low=0.0), 1e-2),
+    "tolerance": (functools.partial(manifolds.number, low=0.0), None),
+    "t_values": (_t_values, DEFAULT_T_VALUES),
+    "n": (functools.partial(manifolds.integer, low=0, high=4), None),
+}
+CONFIG_FIELDS = frozenset({"manifold", "point", "vector", *RUN_FIELDS})
+
+
+def _run_field(name: str, value):
+    """value through the field's reader; None stays None where the default is None."""
+    read, default = RUN_FIELDS[name]
+    if value is None and default is None:
+        return None
+    try:
+        return read(value, name)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
+
+
+def _components(value, name: str, dimension: int) -> np.ndarray:
+    if not isinstance(value, list) or len(value) != dimension:
+        raise InvalidInput(f"{name} must be a list of {dimension} numbers")
+    try:
+        return np.array([manifolds.number(x, f"{name} component") for x in value])
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
 
 
 def _load_config(args) -> dict:
@@ -101,45 +109,15 @@ def _load_config(args) -> dict:
         manifold_cfg["seed"] = args.seed
     try:
         model = manifolds.from_config(manifold_cfg)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InvalidInput(f"bad manifold config: {exc}")
 
-    point = _finite_vector(cfg.get("point", [0.0] * model.dimension), "point", model.dimension)
-    vector = _finite_vector(cfg.get("vector", []), "vector", model.dimension)
-
-    out = {
-        "model": model,
-        "point": point,
-        "vector": vector,
-        "max_degree": cfg.get("max_degree", 10),
-        "steps": cfg.get("steps", 2000),
-        "fd_step": cfg.get("fd_step", 1e-2),
-        "tolerance": cfg.get("tolerance"),
-        "t_values": cfg.get("t_values"),
-        "n": cfg.get("n"),
-    }
-    if getattr(args, "steps", None) is not None:
-        out["steps"] = args.steps
-    if getattr(args, "tolerance", None) is not None:
-        out["tolerance"] = args.tolerance
-    if getattr(args, "fd_step", None) is not None:
-        out["fd_step"] = args.fd_step
-    if getattr(args, "n", None) is not None:
-        out["n"] = args.n
-    if getattr(args, "t_values", None):
-        out["t_values"] = args.t_values
-
-    out["max_degree"] = _integer(out["max_degree"], "max_degree")
-    out["steps"] = _integer(out["steps"], "steps")
-    out["fd_step"] = _positive(out["fd_step"], "fd_step")
-    if out["tolerance"] is not None:
-        out["tolerance"] = _positive(out["tolerance"], "tolerance")
-    if out["n"] is not None:
-        out["n"] = _integer(out["n"], "n")
-    if out["max_degree"] > MAX_DEGREE_CAP or out["max_degree"] < 0:
-        raise InvalidInput(f"max_degree must lie in 0..{MAX_DEGREE_CAP}")
-    if not MIN_STEPS <= out["steps"] <= MAX_STEPS:
-        raise InvalidInput(f"steps must lie in {MIN_STEPS}..{MAX_STEPS}")
+    point = _components(cfg.get("point", [0.0] * model.dimension), "point", model.dimension)
+    vector = _components(cfg.get("vector", []), "vector", model.dimension)
+    out = {"model": model, "point": point, "vector": vector}
+    for name, (_, default) in RUN_FIELDS.items():
+        flag = getattr(args, name, None)
+        out[name] = _run_field(name, flag if flag is not None else cfg.get(name, default))
 
     norm = math.hypot(*vector)  # no overflow for components near the double range
     if norm > 1.0:
@@ -165,9 +143,7 @@ def _verdict(passed: bool, message: str) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    n = args.max_degree
-    if n > MAX_DEGREE_CAP or n < 0:
-        raise InvalidInput(f"max_degree must lie in 0..{MAX_DEGREE_CAP}")
+    n = _run_field("max_degree", args.max_degree)
     closed = series.closed_form_series(n)
     rows = series.series_table(closed)
     matches = series.recurrence_series(n) == closed
@@ -273,16 +249,10 @@ def cmd_verify(args) -> int:
 def cmd_convergence(args) -> int:
     cfg = _load_config(args)
     n = cfg["max_degree"]
-    t_values = cfg["t_values"] or DEFAULT_T_VALUES
-    if not isinstance(t_values, (list, tuple)):
-        raise InvalidInput("t_values must be a list of numbers")
-    t_values = [_positive(t, "t value") for t in t_values]
-    if any(t > 0.5 for t in t_values):
-        raise InvalidInput("t values must lie in (0, 0.5]")
+    t_values = cfg["t_values"]
     _oracle_budget(cfg, batch=len(t_values))
 
     comps = _series(cfg, lambda ops: closed_form_components(ops, max_degree=n))
-    t_values = sorted(t_values)
     with _double_range("ODE oracle"):
         oracle_ops = dexp_oracle(cfg["model"], cfg["point"],
                                  np.outer(t_values, cfg["vector"]), cfg["steps"])
@@ -318,8 +288,6 @@ def cmd_lemma2(args) -> int:
     if cfg["n"] is None:
         raise InvalidInput("lemma2 needs a derivative order: config field 'n' or --n")
     order = cfg["n"]
-    if not 0 <= order <= 4:
-        raise InvalidInput("derivative order must lie in 0..4")
     d, steps = cfg["model"].dimension, cfg["steps"]
     # Gamma at every node of the 13 stencil geodesics (9 offsets at two spacings)
     _within_budget((2 * steps + 1) * 13 * d**3 * 8,

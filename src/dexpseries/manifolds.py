@@ -264,16 +264,29 @@ def polynomial_connection(dimension: int, max_poly_degree: int = 3,
     return PolynomialConnection(dimension, max_poly_degree, scale, seed)
 
 
-def _integer(value, name: str) -> int:
+def integer(value, name: str, low=-math.inf, high=math.inf) -> int:
+    """A JSON integer (not a bool, a float or a string) in low..high."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
     return value
 
 
-def _number(value, name: str) -> float:
+def number(value, name: str, low=-math.inf, high=math.inf) -> float:
+    """A finite JSON number (not a bool or a string) in (low, high]."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)  # OverflowError for an integer past the float range
+    try:
+        out = float(value)
+    except OverflowError:  # an integer past the double range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if not low < out <= high:
+        upper = f"{high:g}]" if high < math.inf else "inf)"
+        raise ValueError(f"{name} must lie in ({low:g}, {upper}, got {value!r}")
+    return out
 
 
 def from_config(config: dict) -> ManifoldModel:
@@ -282,23 +295,23 @@ def from_config(config: dict) -> ManifoldModel:
     kind = cfg.pop("kind", None)
     if kind is None:
         raise ValueError("manifold config needs a 'kind' field")
-    d = _integer(cfg.pop("dimension"), "dimension")
+    d = integer(cfg.pop("dimension", None), "dimension")
     if 8 * d**4 > MAX_POLY_TABLE_BYTES:  # the (d, d, d, d) curvature or dGamma at a point
         raise ValueError(f"dimension {d} is too large: one (d, d, d, d) array would exceed "
                          f"{MAX_POLY_TABLE_BYTES // 2**20} MiB")
     if kind == "flat":
         model = flat(d)
     elif kind == "sphere":
-        model = sphere(d, _number(cfg.pop("radius", 1.0), "radius"))
+        model = sphere(d, number(cfg.pop("radius", 1.0), "radius"))
     elif kind == "hyperbolic":
         model = hyperbolic(d)
     elif kind == "polynomial":
-        poly_degree = _integer(cfg.pop("degree", 3), "degree")
+        poly_degree = integer(cfg.pop("degree", 3), "degree")
         m = math.comb(d + max(poly_degree, 0), d)  # monomials of degree <= poly_degree
         if 8 * m * d * (m + d * d) > MAX_POLY_TABLE_BYTES:  # (M, M, d) and (M, d, d, d)
             raise ValueError(f"polynomial degree {poly_degree} is too high for dimension {d}")
-        model = polynomial_connection(d, poly_degree, _number(cfg.pop("scale", 0.5), "scale"),
-                                      _integer(cfg.pop("seed", 0), "seed"))
+        model = polynomial_connection(d, poly_degree, number(cfg.pop("scale", 0.5), "scale"),
+                                      integer(cfg.pop("seed", 0), "seed", low=0))
     else:
         raise ValueError(f"unknown manifold kind {kind!r}")
     if cfg:

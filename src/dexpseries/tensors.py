@@ -86,10 +86,6 @@ class LinearOperator:
         return self.matrix.shape[0]
 
     @classmethod
-    def identity(cls, d: int) -> "LinearOperator":
-        return cls(np.eye(d))
-
-    @classmethod
     def zero(cls, d: int) -> "LinearOperator":
         return cls(np.zeros((d, d)))
 
@@ -104,16 +100,6 @@ class LinearOperator:
         if self.dimension != other.dimension:
             raise ValueError(f"operator dimensions differ: {self.dimension} vs {other.dimension}")
         return LinearOperator(self.matrix @ other.matrix)
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if self.dimension != other.dimension:
-            raise ValueError("operator dimensions differ")
-        return LinearOperator(self.matrix + other.matrix)
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        if self.dimension != other.dimension:
-            raise ValueError("operator dimensions differ")
-        return LinearOperator(self.matrix - other.matrix)
 
     def __mul__(self, scalar: float) -> "LinearOperator":
         return LinearOperator(self.matrix * float(scalar))

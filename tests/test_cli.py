@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import dexpseries
 from dexpseries.cli import main
@@ -243,30 +249,65 @@ def test_module_entry_point(tmp_path):
     assert "PASS" in result.stdout
 
 
-def assert_invalid(argv, capsys):
+def assert_invalid(argv, capsys) -> str:
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
 
 
-@pytest.mark.parametrize("value", ["ten", 8.5, None])
+# a run field is a JSON integer or number: bools, numeric strings and, for the
+# integer fields, integer-valued floats are refused instead of being converted
+@pytest.mark.parametrize("value", ["ten", 8.5, None, True, "6", "1e1", 8.0])
 def test_non_integer_max_degree_is_invalid(tmp_path, capsys, value):
     cfg = dict(POLY_CONFIG, max_degree=value)
     assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
 
 
-@pytest.mark.parametrize("value", ["many", 400.5])
+@pytest.mark.parametrize("value", ["many", 400.5, True, "200", 400.0])
 def test_non_integer_steps_is_invalid(tmp_path, capsys, value):
     cfg = dict(SPHERE_CONFIG, steps=value)
     assert_invalid(["verify", "--config", write_config(tmp_path, cfg)], capsys)
 
 
-@pytest.mark.parametrize("field", ["vector", "point"])
-def test_nan_component_is_invalid(tmp_path, capsys, field):
-    cfg = dict(POLY_CONFIG)
-    cfg[field] = [0.1, float("nan"), 0.0]
-    assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
+# n true ran lemma2 at order 1; tolerance true passed it at 1.0, six orders of
+# magnitude looser than the default
+@pytest.mark.parametrize("field, value", [("n", True), ("n", "3"), ("n", 3.0),
+                                          ("tolerance", True), ("tolerance", "0.01"),
+                                          ("fd_step", True), ("fd_step", "0.01")])
+def test_non_number_lemma2_field_is_invalid(tmp_path, capsys, field, value):
+    cfg = {**POLY_CONFIG, "steps": 150, "n": 1, field: value}
+    assert_invalid(["lemma2", "--config", write_config(tmp_path, cfg)], capsys)
+
+
+@pytest.mark.parametrize("field, values", [
+    pytest.param("vector", [0.1, float("nan"), 0.0], id="vector"),
+    pytest.param("point", [0.1, float("nan"), 0.0], id="point"),
+    pytest.param("vector", [True, False, 0], id="vector-bools"),
+    pytest.param("vector", [0.1, "0.1", 0.0], id="vector-string"),
+    pytest.param("point", [False, 0.0, 0.0], id="point-bool"),
+    pytest.param("point", [0.1, "0", 0.0], id="point-string"),
+    pytest.param("t_values", [0.1, True, 0.3], id="t_values-bool"),
+    pytest.param("t_values", [0.1, "0.2", 0.3], id="t_values-string"),
+])
+def test_nan_component_is_invalid(tmp_path, capsys, field, values):
+    cfg = dict(POLY_CONFIG, **{field: values})
+    command = "convergence" if field == "t_values" else "eval"
+    assert_invalid([command, "--config", write_config(tmp_path, cfg)], capsys)
+
+
+# one t value, two equal ones or none leave the log-log slope underdetermined
+@pytest.mark.parametrize("t_values, flags", [([0.5], []), ([0.5, 0.5], []), ([], []),
+                                             (None, ["--t-values", "0.5"])],
+                         ids=["one", "two-equal", "empty", "one-flag"])
+def test_convergence_needs_two_distinct_t_values(tmp_path, capsys, t_values, flags):
+    cfg = dict(POLY_CONFIG, vector=[0.3, -0.25, 0.2], max_degree=4)
+    if t_values is not None:
+        cfg["t_values"] = t_values
+    line = assert_invalid(["convergence", "--config", write_config(tmp_path, cfg)] + flags,
+                          capsys)
+    assert "t_values" in line
 
 
 def test_lemma2_zero_fd_step_is_invalid(tmp_path, capsys):
@@ -346,15 +387,18 @@ BAD_MODEL_PARAMETERS = {
     "radius-true": {"kind": "sphere", "dimension": 2, "radius": True},
     "radius-string": {"kind": "sphere", "dimension": 2, "radius": "2"},
     "radius-400-digits": {"kind": "sphere", "dimension": 2, "radius": 10**400},
+    # numpy's default_rng refused it with a message that named no field
+    "seed-negative": {"kind": "polynomial", "dimension": 2, "seed": -1},
 }
 
 
 @pytest.mark.parametrize("command, extra", [("eval", []), ("verify", []), ("lemma2", ["--n", "2"])],
                          ids=["eval", "verify", "lemma2"])
-@pytest.mark.parametrize("manifold", BAD_MODEL_PARAMETERS.values(), ids=BAD_MODEL_PARAMETERS)
-def test_non_finite_model_parameter_is_invalid(tmp_path, capsys, command, extra, manifold):
-    cfg = {"manifold": manifold, "vector": [0.1, 0.05], "steps": 100}
-    assert_invalid([command, "--config", write_config(tmp_path, cfg)] + extra, capsys)
+@pytest.mark.parametrize("name", BAD_MODEL_PARAMETERS)
+def test_non_finite_model_parameter_is_invalid(tmp_path, capsys, command, extra, name):
+    cfg = {"manifold": BAD_MODEL_PARAMETERS[name], "vector": [0.1, 0.05], "steps": 100}
+    line = assert_invalid([command, "--config", write_config(tmp_path, cfg)] + extra, capsys)
+    assert name.split("-")[0] in line, line
 
 
 NON_FINITE_SERIES = {
@@ -449,3 +493,111 @@ def test_oracle_and_lemma2_over_budget_are_refused_before_they_allocate(
     assert main([command, "--config", write_config(tmp_path, cfg)] + extra) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: " + stage), err
+
+
+# -- the exit-code contract over drawn configs -----------------------------------------
+
+# every field sometimes takes one of these instead of a value of its own
+ODD_VALUES = [True, False, "2", "x", None, 0, -1, -2.5, 2.0, math.inf, -math.inf, 1e300, -1e300,
+              1e-300]
+MODEL_FIELDS = {"sphere": {"radius": [1.0, 0.5, 3]}, "hyperbolic": {}, "flat": {},
+                "polynomial": {"degree": [0, 2, 3], "scale": [0.5, 0.2], "seed": [0, 7]}}
+
+
+def _odd(draw) -> bool:
+    return draw(st.integers(0, 7)) == 0  # one draw in eight, so about a fifth of configs are valid
+
+
+def _draw_value(draw, good, odd=()):
+    return draw(st.sampled_from(ODD_VALUES + list(odd) if _odd(draw) else good))
+
+
+def _draw_list(draw, good, size):
+    return [_draw_value(draw, good)
+            for _ in range(draw(st.sampled_from([0, 1, 4])) if _odd(draw) else size)]
+
+
+@st.composite
+def run_configs(draw):
+    """Small configs: a valid one runs every command in a few tens of milliseconds."""
+    kind = _draw_value(draw, sorted(MODEL_FIELDS), ["torus"])
+    dimension = _draw_value(draw, [2, 3], [1, 54, 400, 10**12])
+    manifold = {"kind": kind, "dimension": dimension}
+    for name, good in MODEL_FIELDS.get(kind, {}).items():
+        if draw(st.booleans()):
+            manifold[name] = _draw_value(draw, good)
+    size = dimension if dimension in (2, 3) and type(dimension) is int else 2
+    cfg = {"manifold": manifold,
+           "point": _draw_list(draw, [0.0, 0.05, -0.1], size),
+           "vector": _draw_list(draw, [0.0, 0.1, -0.2, 0.3], size),
+           "steps": _draw_value(draw, [100, 150], [99, 100_001])}
+    for name, good, odd in [("max_degree", [0, 2, 5, 8], [13]), ("n", [0, 2, 4], [5]),
+                            ("fd_step", [1e-2, 2e-2], []), ("tolerance", [1e-6, 1e-3], [])]:
+        if draw(st.booleans()):
+            cfg[name] = _draw_value(draw, good, odd)
+    if draw(st.booleans()):
+        cfg["t_values"] = _draw_list(draw, [0.1, 0.2, 0.3, 0.5], 3)
+    return cfg
+
+
+def _has_bool_or_string(value) -> bool:
+    if isinstance(value, dict):
+        return any(_has_bool_or_string(v) for k, v in value.items() if k != "kind")
+    if isinstance(value, list):
+        return any(map(_has_bool_or_string, value))
+    return isinstance(value, (bool, str))
+
+
+def _sphere(**fields):
+    return {"manifold": {"kind": "sphere", "dimension": 2}, "vector": [0.1, 0.2], "steps": 100,
+            **fields}
+
+
+POLY3 = dict(POLY_CONFIG, steps=100, max_degree=4, n=2)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(cfg=run_configs())
+# the configs that broke the contract before: a traceback, or a wrong run
+@example(cfg={"manifold": {"kind": "flat", "dimension": 400}, "vector": [0.1], "steps": 100,
+              "n": 2})
+@example(cfg={"manifold": {"kind": "flat", "dimension": 1e12}, "vector": [0.1, 0.0]})
+@example(cfg={"manifold": {"kind": "flat", "dimension": 2.5}, "vector": [0.1, 0.0]})
+@example(cfg={"manifold": {"kind": "flat", "dimension": True}, "vector": [0.1]})
+@example(cfg={"manifold": {"kind": "flat", "dimension": math.inf}, "vector": [0.1, 0.0]})
+@example(cfg=_sphere(manifold={"kind": "sphere", "dimension": 2, "radius": 1e-300}, n=2))
+@example(cfg=dict(POLY3, manifold=dict(POLY_CONFIG["manifold"], scale=1e300)))
+@example(cfg=_sphere(vector=[1e200, 0.0], n=2))
+@example(cfg=_sphere(vector=[1e20, 1e19], max_degree=12))
+@example(cfg=_sphere(manifold={"kind": "sphere", "dimension": 2, "radius": math.inf}))
+# run fields that were converted with float() and ran
+@example(cfg=dict(POLY3, max_degree=True))
+@example(cfg=dict(POLY3, max_degree="6"))
+@example(cfg=dict(POLY3, max_degree="1e1"))
+@example(cfg=dict(POLY3, tolerance=True))
+@example(cfg=dict(POLY3, n=True))
+@example(cfg=dict(POLY3, steps="200"))
+@example(cfg=dict(POLY3, vector=[True, False, 0]))
+@example(cfg=dict(POLY3, point=["0", 0.0, 0.0]))
+@example(cfg=dict(POLY3, vector=["0.1", 0.0, 0.0]))
+@example(cfg=dict(POLY3, t_values=[0.1, "0.2"]))
+def test_every_config_exits_0_1_or_2(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        commands = [[name, "--config", path] for name in ("eval", "verify", "convergence",
+                                                          "lemma2")]
+        if type(cfg.get("max_degree")) is int:
+            commands.append(["coeffs", "--max-degree", str(cfg["max_degree"])])
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                code = main(argv)
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            assert code in (0, 1, 2), argv
+            assert len(errors) == (code == 2), (argv, err.getvalue())
+            if argv[0] != "coeffs" and _has_bool_or_string(cfg):
+                assert code == 2, argv

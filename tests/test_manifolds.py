@@ -142,6 +142,8 @@ def test_from_config():
     for bad in (54, 2.0, 2.5, True, "3", None):
         with pytest.raises(ValueError, match="dimension"):
             from_config({"kind": "flat", "dimension": bad})
+    with pytest.raises(ValueError, match="dimension"):  # was a bare KeyError('dimension')
+        from_config({"kind": "flat"})
 
 
 @pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")
