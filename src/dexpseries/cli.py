@@ -52,7 +52,7 @@ def _t_values(value, name: str) -> list[float]:
     """At least two distinct t in (0, 0.5], sorted: the fewest a slope can be fitted to."""
     if not isinstance(value, (list, tuple)):
         raise ValueError(f"{name} must be a list of numbers, got {value!r}")
-    out = sorted(manifolds.number(t, f"{name} entry", low=0.0, high=0.5) for t in value)
+    out = sorted(manifolds.number(t, f"{name} entry", above=0.0, high=0.5) for t in value)
     if len(set(out)) < 2:
         raise ValueError(f"{name} needs at least two distinct values, got {value!r}")
     return out
@@ -62,8 +62,8 @@ def _t_values(value, name: str) -> list[float]:
 RUN_FIELDS = {
     "max_degree": (functools.partial(manifolds.integer, low=0, high=MAX_DEGREE_CAP), 10),
     "steps": (functools.partial(manifolds.integer, low=MIN_STEPS, high=MAX_STEPS), 2000),
-    "fd_step": (functools.partial(manifolds.number, low=0.0), 1e-2),
-    "tolerance": (functools.partial(manifolds.number, low=0.0), None),
+    "fd_step": (functools.partial(manifolds.number, above=0.0), 1e-2),
+    "tolerance": (functools.partial(manifolds.number, above=0.0), None),
     "t_values": (_t_values, DEFAULT_T_VALUES),
     "n": (functools.partial(manifolds.integer, low=0, high=4), None),
 }

@@ -19,6 +19,7 @@ from .geometry import ManifoldModel
 from .polyjet import PolyTensor, lowering_table, monomial_exponents
 
 MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial shift tables
+MAX_SCALE = np.finfo(float).max / 2  # uniform(-scale, scale) needs 2 scale in the double range
 
 
 class FlatSpace(ManifoldModel):
@@ -198,8 +199,8 @@ class PolynomialConnection(ManifoldModel):
             raise ValueError("dimension must be at least 2")
         if max_poly_degree < 0:
             raise ValueError("max_poly_degree must be nonnegative")
-        if not math.isfinite(scale):
-            raise ValueError(f"scale must be finite, got {scale!r}")
+        if not abs(scale) <= MAX_SCALE:
+            raise ValueError(f"scale must lie in [-{MAX_SCALE:g}, {MAX_SCALE:g}], got {scale!r}")
         self.dimension = dimension
         self.max_poly_degree = int(max_poly_degree)
         self.scale = float(scale)
@@ -273,8 +274,8 @@ def integer(value, name: str, low=-math.inf, high=math.inf) -> int:
     return value
 
 
-def number(value, name: str, low=-math.inf, high=math.inf) -> float:
-    """A finite JSON number (not a bool or a string) in (low, high]."""
+def number(value, name: str, above=-math.inf, high=math.inf) -> float:
+    """A finite JSON number (not a bool or a string) in (above, high]: above itself is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
@@ -283,9 +284,9 @@ def number(value, name: str, low=-math.inf, high=math.inf) -> float:
         out = math.inf
     if not math.isfinite(out):
         raise ValueError(f"{name} must be finite, got {value!r}")
-    if not low < out <= high:
+    if not above < out <= high:
         upper = f"{high:g}]" if high < math.inf else "inf)"
-        raise ValueError(f"{name} must lie in ({low:g}, {upper}, got {value!r}")
+        raise ValueError(f"{name} must lie in ({above:g}, {upper}, got {value!r}")
     return out
 
 

@@ -384,6 +384,9 @@ BAD_MODEL_PARAMETERS = {
     "scale-true": {"kind": "polynomial", "dimension": 2, "scale": True},
     "scale-string": {"kind": "polynomial", "dimension": 2, "scale": "2"},
     "scale-400-digits": {"kind": "polynomial", "dimension": 2, "scale": 10**400},
+    # finite, but uniform(-scale, scale) overflowed on high - low
+    "scale-1e308": {"kind": "polynomial", "dimension": 2, "scale": 1e308},
+    "scale-minus-1e308": {"kind": "polynomial", "dimension": 2, "scale": -1e308},
     "radius-true": {"kind": "sphere", "dimension": 2, "radius": True},
     "radius-string": {"kind": "sphere", "dimension": 2, "radius": "2"},
     "radius-400-digits": {"kind": "sphere", "dimension": 2, "radius": 10**400},
@@ -499,7 +502,7 @@ def test_oracle_and_lemma2_over_budget_are_refused_before_they_allocate(
 
 # every field sometimes takes one of these instead of a value of its own
 ODD_VALUES = [True, False, "2", "x", None, 0, -1, -2.5, 2.0, math.inf, -math.inf, 1e300, -1e300,
-              1e-300]
+              1e308, -1e308, 1e-300]
 MODEL_FIELDS = {"sphere": {"radius": [1.0, 0.5, 3]}, "hyperbolic": {}, "flat": {},
                 "polynomial": {"degree": [0, 2, 3], "scale": [0.5, 0.2], "seed": [0, 7]}}
 
@@ -567,6 +570,7 @@ POLY3 = dict(POLY_CONFIG, steps=100, max_degree=4, n=2)
 @example(cfg={"manifold": {"kind": "flat", "dimension": math.inf}, "vector": [0.1, 0.0]})
 @example(cfg=_sphere(manifold={"kind": "sphere", "dimension": 2, "radius": 1e-300}, n=2))
 @example(cfg=dict(POLY3, manifold=dict(POLY_CONFIG["manifold"], scale=1e300)))
+@example(cfg=dict(POLY3, manifold=dict(POLY_CONFIG["manifold"], scale=1e308)))
 @example(cfg=_sphere(vector=[1e200, 0.0], n=2))
 @example(cfg=_sphere(vector=[1e20, 1e19], max_degree=12))
 @example(cfg=_sphere(manifold={"kind": "sphere", "dimension": 2, "radius": math.inf}))
