@@ -16,6 +16,9 @@ eval, verify and convergence get the curvature operators r_n(v) by Taylor-mode
 propagation along the geodesic (taylor.curvature_operators); lemma2 checks the
 transported curvature against the dense covariant-derivative tower.
 
+Each of those four checks maps the loaded config to its artifact fields and
+verdict; run_check writes every check artifact and verdict line.
+
 Exit codes: 0 all embedded checks pass, 1 a check fails, 2 invalid input.
 """
 
@@ -33,7 +36,7 @@ import numpy as np
 from . import manifolds, series
 from .evaluate import closed_form_components, evaluate_closed_form, evaluate_recurrence
 from .geometry import ChartDomainError
-from .oracle import curvature_derivative_table, dexp_oracle
+from .oracle import STENCIL_SAMPLE_KEYS, curvature_derivative_table, dexp_oracle
 from .taylor import curvature_operators
 from .tensors import operator_distance
 
@@ -131,8 +134,11 @@ def _load_config(args) -> dict:
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write --out {args.out!r}: {exc}") from None
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -201,29 +207,18 @@ def _series(cfg, route):
         return route(ops)
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args)
+def cmd_eval(cfg: dict) -> tuple[dict, bool, str]:
     n = cfg["max_degree"]
     closed, recur = _series(cfg, lambda ops: (evaluate_closed_form(ops, max_degree=n),
                                               evaluate_recurrence(ops, max_degree=n)))
     dist = operator_distance(closed.operator, recur.operator)
     tol = float(1e-12 * (1.0 + np.linalg.norm(closed.operator.matrix)))
-    passed = bool(dist <= tol)
-    _emit(args, json.dumps({
-        "command": "eval",
-        "manifold": cfg["model"].name,
-        "max_degree": n,
-        "closed_form": closed.to_json(),
-        "recurrence": recur.to_json(),
-        "distance": dist,
-        "tolerance": tol,
-        "pass": passed,
-    }, indent=2))
-    return _verdict(passed, f"closed-form vs recurrence distance {dist:.3e} (tol {tol:.1e})")
+    return ({"max_degree": n, "closed_form": closed.to_json(), "recurrence": recur.to_json(),
+             "distance": dist, "tolerance": tol},
+            dist <= tol, f"closed-form vs recurrence distance {dist:.3e} (tol {tol:.1e})")
 
 
-def cmd_verify(args) -> int:
-    cfg = _load_config(args)
+def cmd_verify(cfg: dict) -> tuple[dict, bool, str]:
     n = cfg["max_degree"]
     _oracle_budget(cfg, batch=1)
     ev = _series(cfg, lambda ops: evaluate_closed_form(ops, max_degree=n))
@@ -231,23 +226,12 @@ def cmd_verify(args) -> int:
         oracle_op = dexp_oracle(cfg["model"], cfg["point"], cfg["vector"], cfg["steps"])
     dist = operator_distance(ev.operator, oracle_op)
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6
-    passed = dist <= tol
-    _emit(args, json.dumps({
-        "command": "verify",
-        "manifold": cfg["model"].name,
-        "max_degree": n,
-        "steps": cfg["steps"],
-        "series": ev.to_json(),
-        "oracle": oracle_op.to_json(),
-        "distance": dist,
-        "tolerance": tol,
-        "pass": passed,
-    }, indent=2))
-    return _verdict(passed, f"series vs ODE oracle distance {dist:.3e} (tol {tol:.1e})")
+    return ({"max_degree": n, "steps": cfg["steps"], "series": ev.to_json(),
+             "oracle": oracle_op.to_json(), "distance": dist, "tolerance": tol},
+            dist <= tol, f"series vs ODE oracle distance {dist:.3e} (tol {tol:.1e})")
 
 
-def cmd_convergence(args) -> int:
-    cfg = _load_config(args)
+def cmd_convergence(cfg: dict) -> tuple[dict, bool, str]:
     n = cfg["max_degree"]
     t_values = cfg["t_values"]
     _oracle_budget(cfg, batch=len(t_values))
@@ -264,34 +248,23 @@ def cmd_convergence(args) -> int:
     distances = np.array([r["distance"] for r in rows])
     degenerate = bool(np.all(distances < 1e-12))
     if degenerate:
-        slope = None
-        passed = True
-        message = "all distances below 1e-12; slope test degenerate"
+        slope, passed, message = None, True, "all distances below 1e-12; slope test degenerate"
     else:
         slope = float(np.polyfit(np.log([r["t"] for r in rows]), np.log(distances), 1)[0])
         passed = slope >= n + 0.5
         message = f"fitted remainder slope {slope:.2f} (needs >= {n + 0.5})"
-    _emit(args, json.dumps({
-        "command": "convergence",
-        "manifold": cfg["model"].name,
-        "max_degree": n,
-        "rows": rows,
-        "slope": slope,
-        "degenerate": degenerate,
-        "pass": passed,
-    }, indent=2))
-    return _verdict(passed, message)
+    return ({"max_degree": n, "rows": rows, "slope": slope, "degenerate": degenerate},
+            passed, message)
 
 
-def cmd_lemma2(args) -> int:
-    cfg = _load_config(args)
+def cmd_lemma2(cfg: dict) -> tuple[dict, bool, str]:
     if cfg["n"] is None:
         raise InvalidInput("lemma2 needs a derivative order: config field 'n' or --n")
     order = cfg["n"]
     d, steps = cfg["model"].dimension, cfg["steps"]
-    # Gamma at every node of the 13 stencil geodesics (9 offsets at two spacings)
-    _within_budget((2 * steps + 1) * 13 * d**3 * 8,
-                   f"stencil node store (13 x {steps} steps in dimension {d})")
+    nodes = len(STENCIL_SAMPLE_KEYS)  # Gamma at every node of each stencil geodesic
+    _within_budget((2 * steps + 1) * nodes * d**3 * 8,
+                   f"stencil node store ({nodes} x {steps} steps in dimension {d})")
     if order >= 2:  # the Christoffel jet of degree n - 1 and nabla^(n-2) R, d^(n+2) entries
         _within_budget((math.comb(d + order - 1, d) * d**3 + d ** (order + 2)) * 8,
                        f"dense prediction for order {order} in dimension {d}")
@@ -299,13 +272,30 @@ def cmd_lemma2(args) -> int:
         check = curvature_derivative_table(cfg["model"], cfg["point"], cfg["vector"], [order],
                                            steps=cfg["steps"], fd_step=cfg["fd_step"])[order]
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-5
-    passed = check.distance <= tol
-    blob = check.to_json()
-    blob.update({"command": "lemma2", "manifold": cfg["model"].name,
-                 "tolerance": tol, "pass": passed})
-    _emit(args, json.dumps(blob, indent=2))
-    return _verdict(passed, f"derivative order {order}: distance {check.distance:.3e} "
-                            f"(tol {tol:.1e})")
+    return ({**check.to_json(), "tolerance": tol}, check.distance <= tol,
+            f"derivative order {order}: distance {check.distance:.3e} (tol {tol:.1e})")
+
+
+# command -> (check, help, flags beyond --config, --seed, --steps and --out)
+CHECKS = {
+    "eval": (cmd_eval, "closed form vs recurrence on a manifold", {}),
+    "verify": (cmd_verify, "series vs the Jacobi-field ODE oracle",
+               {"--tolerance": {"type": float}}),
+    "convergence": (cmd_convergence, "remainder decay slope over velocity scalings",
+                    {"--t-values": {"type": float, "nargs": "+"}}),
+    "lemma2": (cmd_lemma2, "transported-curvature derivatives vs jet prediction",
+               {"--n": {"type": int}, "--fd-step": {"type": float},
+                "--tolerance": {"type": float}}),
+}
+
+
+def run_check(args) -> int:
+    """Load the config, run the command's check, write its artifact and verdict line."""
+    cfg = _load_config(args)
+    fields, passed, message = CHECKS[args.command][0](cfg)
+    _emit(args, json.dumps({"command": args.command, "manifold": cfg["model"].name,
+                            **fields, "pass": passed}, indent=2))
+    return _verdict(passed, message)
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,27 +315,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_coeffs)
 
-    def config_command(name, help_text, func, extra=()):
+    for name, (_, help_text, flags) in CHECKS.items():
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--config", required=True, help="JSON run configuration")
         q.add_argument("--seed", type=int, help="override the manifold seed")
         q.add_argument("--steps", type=int, help="override the integrator step count")
         q.add_argument("--out", help="write the JSON artifact here instead of stdout")
-        for add in extra:
-            add(q)
-        q.set_defaults(func=func)
-
-    config_command("eval", "closed form vs recurrence on a manifold", cmd_eval)
-    config_command("verify", "series vs the Jacobi-field ODE oracle", cmd_verify,
-                   extra=(lambda q: q.add_argument("--tolerance", type=float),))
-    config_command("convergence", "remainder decay slope over velocity scalings",
-                   cmd_convergence,
-                   extra=(lambda q: q.add_argument("--t-values", type=float, nargs="+"),))
-    config_command("lemma2", "transported-curvature derivatives vs jet prediction",
-                   cmd_lemma2,
-                   extra=(lambda q: q.add_argument("--n", type=int),
-                          lambda q: q.add_argument("--fd-step", type=float),
-                          lambda q: q.add_argument("--tolerance", type=float)))
+        for flag, kwargs in flags.items():
+            q.add_argument(flag, **kwargs)
+        q.set_defaults(func=run_check)
     return parser
 
 

@@ -197,51 +197,30 @@ def transported_curvature(model: ManifoldModel, p, v, steps: int):
 # t-derivatives of the transported curvature (finite differences + Richardson)
 # ----------------------------------------------------------------------------
 
-def _solve_fraction_system(matrix, rhs):
-    """Gaussian elimination over exact Fractions."""
-    n = len(rhs)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
 @lru_cache(maxsize=None)
 def fd_weights(offsets: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
     """Exact stencil weights for the order-th derivative on integer offsets.
 
-    sum_s w_s f(s h) = h^order f^(order)(0) + higher-order terms.
+    sum_s w_s f(s h) = h^order f^(order)(0) + higher-order terms.  The weight of
+    s is order! times the x^order coefficient of the Lagrange basis polynomial
+    prod_{r != s} (x - r) / (s - r).
     """
-    n = len(offsets)
-    if order >= n:
+    if order >= len(offsets):
         raise ValueError("stencil too short for requested derivative order")
-    matrix = [[Fraction(s) ** m for s in offsets] for m in range(n)]
-    rhs = [Fraction(math.factorial(order)) if m == order else Fraction(0) for m in range(n)]
-    return tuple(_solve_fraction_system(matrix, rhs))
-
-
-MAX_MOMENT_PROBE = 20  # Taylor moments probed for a stencil's leading error term
-
-
-@lru_cache(maxsize=None)
-def _stencil_error_order(offsets, weights, order) -> int:
-    """Exponent q with stencil error O(h^q): first unmatched Taylor moment."""
-    for m in range(len(offsets), MAX_MOMENT_PROBE):
-        moment = sum(w * Fraction(s) ** m for w, s in zip(weights, offsets))
-        moment -= Fraction(math.factorial(order)) if m == order else 0
-        if moment != 0:
-            return m - order
-    raise RuntimeError("could not locate leading stencil error term")
+    weights = []
+    for s in offsets:
+        basis = [Fraction(1)]  # coefficients, constant term first
+        for r in offsets:
+            if r != s:  # basis *= (x - r) / (s - r)
+                basis = [(lower - r * same) / (s - r)
+                         for lower, same in zip([0] + basis, basis + [0])]
+        weights.append(math.factorial(order) * basis[order])
+    return tuple(weights)
 
 
 STENCIL_OFFSETS = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
+# t = k h/2 at every k of the coarse (spacing h) and fine (spacing h/2) stencils
+STENCIL_SAMPLE_KEYS = tuple(sorted({2 * s for s in STENCIL_OFFSETS} | set(STENCIL_OFFSETS)))
 
 
 @dataclass
@@ -264,10 +243,9 @@ class DerivativeCheck:
 
 def _transported_curvature_samples(model, p, v, h: float, steps: int) -> dict[int, np.ndarray]:
     """Samples of t -> transported_curvature(t v) at t = k h/2 for the stencils."""
-    ks = sorted({2 * s for s in STENCIL_OFFSETS} | set(STENCIL_OFFSETS))
-    ts = 0.5 * h * np.array(ks, dtype=float)
+    ts = 0.5 * h * np.array(STENCIL_SAMPLE_KEYS, dtype=float)
     ops = transported_curvature(model, p, ts[:, None] * np.asarray(v, dtype=float), steps)
-    return {k: op.matrix for k, op in zip(ks, ops)}
+    return {k: op.matrix for k, op in zip(STENCIL_SAMPLE_KEYS, ops)}
 
 
 def _fd_derivative(samples, h: float, order: int, d: int) -> np.ndarray:
@@ -275,7 +253,9 @@ def _fd_derivative(samples, h: float, order: int, d: int) -> np.ndarray:
     if order == 0:
         return samples[0]
     weights = fd_weights(STENCIL_OFFSETS, order)
-    q = _stencil_error_order(STENCIL_OFFSETS, weights, order)
+    # the weights match Taylor moments 0..8 and are even or odd with the order, so
+    # the first unmatched moment is 9 for odd and 10 for even orders: error O(h^q)
+    q = len(STENCIL_OFFSETS) + (order % 2 == 0) - order
 
     def stencil(spacing_key, spacing):
         acc = np.zeros((d, d))

@@ -223,6 +223,38 @@ def test_vector_norm_warning(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+# the run configuration shown in README
+README_CONFIG = {
+    "manifold": {"kind": "polynomial", "dimension": 3, "degree": 3, "scale": 0.5, "seed": 42},
+    "point": [0.0, 0.0, 0.0],
+    "vector": [0.12, -0.10, 0.08],
+    "max_degree": 10,
+    "steps": 2000,
+}
+
+# each check command's own artifact keys, between "command"/"manifold" and "pass"
+ARTIFACT_FIELDS = {
+    "eval": ["max_degree", "closed_form", "recurrence", "distance", "tolerance"],
+    "verify": ["max_degree", "steps", "series", "oracle", "distance", "tolerance"],
+    "convergence": ["max_degree", "rows", "slope", "degenerate"],
+    "lemma2": ["order", "lhs", "rhs", "distance", "tolerance"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_FIELDS))
+def test_check_artifact_names_its_command_and_verdict(tmp_path, capsys, command):
+    # perfbench dispatches on "command"; --steps 100 keeps the oracle runs short
+    argv = [command, "--config", write_config(tmp_path, README_CONFIG), "--steps", "100"]
+    capsys.readouterr()
+    code = main(argv + (["--n", "2"] if command == "lemma2" else []))
+    out = capsys.readouterr().out
+    blob = json.loads(out[: out.rindex("}") + 1])
+    assert list(blob) == ["command", "manifold", *ARTIFACT_FIELDS[command], "pass"]
+    assert blob["command"] == command and blob["manifold"] == "polynomial"
+    last = out.strip().splitlines()[-1]
+    assert last.startswith("PASS:") == (blob["pass"] is True) == (code == 0), last
+
+
 def test_missing_config_is_invalid_input(tmp_path):
     assert main(["eval", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -255,6 +287,16 @@ def assert_invalid(argv, capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     return err[0]
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["eval", "coeffs"])
+def test_unwritable_out_is_invalid(tmp_path, capsys, command, target):
+    out = str(tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path)
+    argv = (["eval", "--config", write_config(tmp_path, POLY_CONFIG)] if command == "eval"
+            else ["coeffs", "--max-degree", "4"])
+    line = assert_invalid(argv + ["--out", out], capsys)
+    assert line.startswith("error: cannot write --out") and out in line, line
 
 
 # a run field is a JSON integer or number: bools, numeric strings and, for the
