@@ -29,6 +29,7 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -130,6 +131,15 @@ def _load_config(args) -> dict:
         print(f"note: |vector| = {norm:.4g} > 0.5, outside the recommended envelope",
               file=sys.stderr)
     return out
+
+
+def _check_out(path):
+    """Refuse an --out that names a directory or lies in a missing one before any work;
+    _emit still catches what this cannot see (permissions, a full disk)."""
+    if path and os.path.isdir(path):
+        raise InvalidInput(f"cannot write --out {path!r}: it is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidInput(f"cannot write --out {path!r}: its directory does not exist")
 
 
 def _emit(args, text: str):
@@ -330,6 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except (InvalidInput, ChartDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,13 +116,12 @@ def covariant_derivative(tensor: PolyTensor, gamma: PolyTensor, degree: int) -> 
         raise ValueError("tensor rank too large")
     J = letters[:s]
 
-    parts = np.stack([tensor.diff(a).truncate(degree).data for a in range(d)], axis=2)
-    out = PolyTensor(d, degree, parts)
-    out = out + contract(f"uam,m{J}->ua{J}", gamma, tensor, degree)
+    out = np.stack([tensor.diff(a).truncate(degree).data for a in range(d)], axis=2)
+    out += contract(f"uam,m{J}->ua{J}", gamma, tensor, degree).data
     for i in range(s):
         t_sub = "u" + J[:i] + "m" + J[i + 1:]
-        out = out - contract(f"ma{J[i]},{t_sub}->ua{J}", gamma, tensor, degree)
-    return out
+        out -= contract(f"ma{J[i]},{t_sub}->ua{J}", gamma, tensor, degree).data
+    return PolyTensor(d, degree, out)
 
 
 class CurvatureJet:

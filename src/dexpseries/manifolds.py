@@ -2,10 +2,10 @@
 seeded random polynomial connections.
 
 Every model supplies Christoffel symbols and their first partials in closed
-form on batches of chart points, and exact Christoffel jets (zero, the Taylor
-division recurrence for the conformal models, or the polynomial shift), so no
-finite differencing and no multivariate polynomial product enters the
-curvature pipeline.
+form on batches of chart points, and exact Christoffel jets: zero, A(V) for
+the conformal models' one vector field V = w x (only the scalar w takes the
+Taylor division rule), or the polynomial shift.  No finite differencing and
+no multivariate polynomial product enters the curvature pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import ManifoldModel
-from .polyjet import PolyTensor, lowering_table, monomial_exponents
+from .polyjet import PolyTensor, lowering_table, monomial_count, monomial_exponents
 
 MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial shift tables
 MAX_SCALE = np.finfo(float).max / 2  # uniform(-scale, scale) needs 2 scale in the double range
@@ -48,21 +48,32 @@ class FlatSpace(ManifoldModel):
         return np.eye(self.dimension)
 
 
+@lru_cache(maxsize=None)
+def _pattern_table(d: int) -> np.ndarray:
+    """Read-only (d, d^3) table T of the unit patterns A(e_c), so that A(y) = y @ T exactly:
+    each entry of A(y)[k, i, j] = y_i d_jk + y_j d_ik - y_k d_ij is one signed y_c or 0."""
+    table = np.zeros((d,) * 4)
+    c, k = np.ogrid[:d, :d]
+    table[c, k, c, k] += 1.0  # y_i d_jk
+    table[c, k, k, c] += 1.0  # y_j d_ik
+    table[c, c, k, k] -= 1.0  # y_k d_ij
+    table.flags.writeable = False
+    return table.reshape(d, d**3)
+
+
 class _ConformalModel(ManifoldModel):
     """Conformally flat metric g = (a/u)^2 * I with u(x) = c0 + sigma |x|^2.
 
-    Christoffels follow the conformal rule with phi = log a - log u:
-        Gamma^k_ij = dphi_i d_jk + dphi_j d_ik - dphi_k d_ij,
-        dphi_i = -2 sigma x_i / u,
-    i.e. Gamma = w(x) A(x) with w = -2 sigma / u and A linear in x, so
-        d_a Gamma = d_a w A(x) + w A(e_a),    d_a w = 4 sigma^2 x_a / u^2.
-    Jets come from the division rule of Taylor arithmetic: about the base
-    point x, u(x + xi) = u(x) + 2 sigma x.xi + sigma |xi|^2 and
-    u Gamma = -2 sigma A(x + xi), so each Taylor coefficient g[e] of Gamma is
-        g[e] = (s[e] - sum_{a in e} (2 sigma x_a g[e - 1_a] + sigma g[e - 2_a])) / u(x)
-    in graded monomial order, with the source s[0] = -2 sigma A(x),
-    s[1_a] = -2 sigma A(e_a), s[e] = 0 above degree one, and the g[e - 2_a]
-    term only where e_a >= 2.  The result is exact to the truncation order.
+    With phi = log a - log u the connection is linear in one vector field,
+    Gamma = A(V) with V = dphi = w x and the scalar w = -2 sigma / u, so
+        d_a Gamma = A(d_a w x + w e_a),   d_a w = 4 sigma^2 x_a / u^2,
+    and the jet rows are Gamma[e] = A(V[e]), V[e] = w[e] x + (w[e - 1_a])_a,
+    since V(x + xi) = w(x + xi) (x + xi).  Only w takes the division rule of
+    Taylor arithmetic: u(x + xi) = u(x) + 2 sigma x.xi + sigma |xi|^2 and
+    u w = -2 sigma give w[0] = -2 sigma / u(x) and
+        w[e] = -(2 sigma sum_a x_a w[e - 1_a] + sigma sum_a w[e - 2_a]) / u(x),
+    absent monomials counting zero, solved one total degree at a time.  The
+    jet is exact to the truncation order; its row 0 is christoffel(x) exactly.
     """
 
     def __init__(self, dimension: int, c0: float, sigma: float, factor_num: float):
@@ -84,45 +95,34 @@ class _ConformalModel(ManifoldModel):
         lam = self.conformal_factor(x)
         return lam * lam * np.eye(self.dimension)
 
-    @staticmethod
-    def _symbol_pattern(x: np.ndarray) -> np.ndarray:
-        """A[..., k, i, j] = x_i d_jk + x_j d_ik - x_k d_ij."""
-        eye = np.eye(x.shape[-1])
-        return (np.einsum("...i,jk->...kij", x, eye)
-                + np.einsum("...j,ik->...kij", x, eye)
-                - np.einsum("...k,ij->...kij", x, eye))
+    def _pattern(self, y: np.ndarray) -> np.ndarray:  # A(y)[..., k, i, j] for y (..., d)
+        return (y @ _pattern_table(self.dimension)).reshape(y.shape[:-1] + (self.dimension,) * 3)
 
     def christoffel(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         w = -2.0 * self._sigma / self._u(x)
-        return w[..., None, None, None] * self._symbol_pattern(x)
+        return self._pattern(w[..., None] * x)
 
     def christoffel_partials(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        u = self._u(x)[..., None, None, None, None]
-        dw = 4.0 * self._sigma**2 * x[..., :, None, None, None] / (u * u)
-        return (dw * self._symbol_pattern(x)[..., None, :, :, :]
-                + (-2.0 * self._sigma / u) * self._symbol_pattern(np.eye(self.dimension)))
+        u = self._u(x)[..., None, None]
+        dw = 4.0 * self._sigma**2 * x[..., :, None] / (u * u)
+        w = -2.0 * self._sigma / u
+        return self._pattern(dw * x[..., None, :] + w * np.eye(self.dimension))
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
         d, sigma, u0 = self.dimension, self._sigma, self._u(x)
-        source = -2.0 * sigma * self._symbol_pattern(np.vstack([x, np.eye(d)]))  # A(x), A(e_a)
-        low = lowering_table(d, order).tolist()  # low[a][m]: row of exps[m] - 1_a
-        jet = PolyTensor.zeros(d, order, (d, d, d))
-        g = jet.data
-        for m, e in enumerate(monomial_exponents(d, order).tolist()):  # lower rows solved first
-            total = sum(e)
-            acc = source[0] if total == 0 else source[1 + e.index(1)] if total == 1 else 0.0
-            for a in range(d):
-                if e[a] == 0:
-                    continue
-                lower = low[a][m]
-                acc = acc - 2.0 * sigma * x[a] * g[lower]
-                if e[a] >= 2:
-                    acc = acc - sigma * g[low[a][lower]]
-            g[m] = acc / u0
-        return jet
+        low = lowering_table(d, order)  # [a, m]: row of exps[m] - 1_a (low2: - 2_a), or -1
+        low2 = np.where(low >= 0, np.take_along_axis(low, np.maximum(low, 0), axis=1), -1)
+        w = np.zeros(low.shape[1] + 1)  # w[-1] = 0 stands for an absent monomial
+        w[0] = -2.0 * sigma / u0
+        for k in range(1, order + 1):  # degree k reads only rows of degree k - 1 and k - 2
+            rows = slice(monomial_count(d, k - 1), monomial_count(d, k))
+            lower = (x[:, None] * w[low[:, rows]]).sum(axis=0)  # summed over a in order
+            w[rows] = -(2.0 * sigma * lower + sigma * w[low2[:, rows]].sum(axis=0)) / u0
+        v = w[:-1, None] * x + w[low.T]
+        return PolyTensor(d, order, self._pattern(v))
 
 
 class Sphere(_ConformalModel):

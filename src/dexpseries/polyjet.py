@@ -163,25 +163,8 @@ class PolyTensor:
         weights = np.prod(xi[None, :] ** exps, axis=1)
         return np.tensordot(weights, self.data, axes=(0, 0))
 
-    def __add__(self, other: "PolyTensor") -> "PolyTensor":
-        a, b = _align(self, other)
-        return PolyTensor(a.dim, a.degree, a.data + b.data)
-
-    def __sub__(self, other: "PolyTensor") -> "PolyTensor":
-        a, b = _align(self, other)
-        return PolyTensor(a.dim, a.degree, a.data - b.data)
-
     def __repr__(self) -> str:
         return f"PolyTensor(dim={self.dim}, degree={self.degree}, shape={self.shape})"
-
-
-def _align(a: PolyTensor, b: PolyTensor) -> tuple[PolyTensor, PolyTensor]:
-    if a.dim != b.dim:
-        raise ValueError("polynomial dimensions differ")
-    if a.shape != b.shape:
-        raise ValueError(f"tensor shapes differ: {a.shape} vs {b.shape}")
-    deg = min(a.degree, b.degree)
-    return a.truncate(deg), b.truncate(deg)
 
 
 def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None = None) -> PolyTensor:

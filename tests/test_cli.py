@@ -299,6 +299,22 @@ def test_unwritable_out_is_invalid(tmp_path, capsys, command, target):
     assert line.startswith("error: cannot write --out") and out in line, line
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command, work", [("eval", "dexpseries.cli.curvature_operators"),
+                                           ("coeffs", "dexpseries.series.closed_form_series")])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch,
+                                                   command, work, target):
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(work, forbidden)
+    out = str(tmp_path / "missing" / "x.json" if target == "missing-directory" else tmp_path)
+    argv = (["eval", "--config", write_config(tmp_path, POLY_CONFIG)] if command == "eval"
+            else ["coeffs", "--max-degree", "4"])
+    line = assert_invalid(argv + ["--out", out], capsys)
+    assert line.startswith(f"error: cannot write --out {out!r}: "), line
+
+
 # a run field is a JSON integer or number: bools, numeric strings and, for the
 # integer fields, integer-valued floats are refused instead of being converted
 @pytest.mark.parametrize("value", ["ten", 8.5, None, True, "6", "1e1", 8.0])

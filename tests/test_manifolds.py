@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -242,23 +244,35 @@ def test_polynomial_models_share_read_only_exponent_tables():
     assert not np.array_equal(a.coefficients, b.coefficients)
 
 
+def _reference_pattern(x: np.ndarray) -> np.ndarray:
+    """A[..., k, i, j] = x_i d_jk + x_j d_ik - x_k d_ij, by three einsums."""
+    eye = np.eye(x.shape[-1])
+    return (np.einsum("...i,jk->...kij", x, eye)
+            + np.einsum("...j,ik->...kij", x, eye)
+            - np.einsum("...k,ij->...kij", x, eye))
+
+
+def _lowered(e, a, by):
+    """The exponent tuple e - by 1_a."""
+    return e[:a] + (e[a] - by,) + e[a + 1:]
+
+
 def _reference_conformal_jet(model, x, order):
-    """The division recurrence with monomials looked up by exponent tuple."""
+    """The scalar division recurrence with w looked up by exponent tuple, each row
+    assembled as A(V[e]) with V[e] = w[e] x + (w[e - 1_a])_a."""
     d, sigma, u0 = model.dimension, model._sigma, model._u(x)
-    source = -2.0 * sigma * model._symbol_pattern(np.vstack([x, np.eye(d)]))
-    lookup = {tuple(e): i for i, e in enumerate(monomial_exponents(d, order).tolist())}
-    g = np.zeros((len(lookup), d, d, d))
-    for e, m in lookup.items():
-        total = sum(e)
-        acc = source[0] if total == 0 else source[1 + e.index(1)] if total == 1 else 0.0
+    exps = [tuple(e) for e in monomial_exponents(d, order).tolist()]
+    w = {exps[0]: -2.0 * sigma / u0}
+    for e in exps[1:]:
+        s1 = s2 = 0.0
         for a in range(d):
-            if e[a] == 0:
-                continue
-            acc = acc - 2.0 * sigma * x[a] * g[lookup[e[:a] + (e[a] - 1,) + e[a + 1:]]]
+            if e[a] >= 1:
+                s1 += x[a] * w[_lowered(e, a, 1)]
             if e[a] >= 2:
-                acc = acc - sigma * g[lookup[e[:a] + (e[a] - 2,) + e[a + 1:]]]
-        g[m] = acc / u0
-    return g
+                s2 += w[_lowered(e, a, 2)]
+        w[e] = -(2.0 * sigma * s1 + sigma * s2) / u0
+    v = [[w[e] * x[a] + (w[_lowered(e, a, 1)] if e[a] else 0.0) for a in range(d)] for e in exps]
+    return _reference_pattern(np.array(v))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
@@ -269,3 +283,60 @@ def test_conformal_jet_is_bit_identical_to_tuple_lookup_recurrence(make, d):
     for order in range(9):
         assert np.array_equal(model.christoffel_jet(x, order).data,
                               _reference_conformal_jet(model, x, order))
+
+
+CONFORMAL = [sphere(2, 1.0), sphere(3, 1.3), sphere(6, 0.5), hyperbolic(2), hyperbolic(5)]
+
+
+@pytest.mark.parametrize("model", CONFORMAL, ids=lambda m: f"{m.name}{m.dimension}")
+def test_conformal_christoffel_is_bit_identical_to_scalar_times_pattern(model):
+    # Gamma = w A(x) and d_a Gamma = d_a w A(x) + w A(e_a), w = -2 sigma / u
+    d, sigma = model.dimension, model._sigma
+    rng = np.random.default_rng(d)
+    for shape in [(d,), (7, d), (3, 4, d)]:
+        x = rng.uniform(-0.9, 0.9, size=shape) / np.sqrt(d)
+        w = (-2.0 * sigma / model._u(x))[..., None, None, None]
+        assert np.array_equal(model.christoffel(x), w * _reference_pattern(x))
+        u = model._u(x)[..., None, None, None, None]
+        dw = 4.0 * sigma**2 * x[..., :, None, None, None] / (u * u)
+        want = (dw * _reference_pattern(x)[..., None, :, :, :]
+                + (-2.0 * sigma / u) * _reference_pattern(np.eye(d)))
+        assert np.array_equal(model.christoffel_partials(x), want)
+
+
+def _exact_conformal_field(model, x, order):
+    """V[e] in exact rational arithmetic from the same recurrence, rounded once to doubles."""
+    d, sigma = model.dimension, Fraction(model._sigma)
+    x = [Fraction(float(c)) for c in x]
+    u0 = Fraction(model._c0) + sigma * sum(c * c for c in x)
+    exps = [tuple(e) for e in monomial_exponents(d, order).tolist()]
+    w = {exps[0]: -2 * sigma / u0}
+
+    def below(e, a, by):  # w[e - by 1_a], zero where e_a < by
+        return w[_lowered(e, a, by)] if e[a] >= by else 0
+
+    for e in exps[1:]:
+        w[e] = -(2 * sigma * sum(x[a] * below(e, a, 1) for a in range(d))
+                 + sigma * sum(below(e, a, 2) for a in range(d))) / u0
+    return np.array([[float(w[e] * x[a] + below(e, a, 1)) for a in range(d)] for e in exps])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("make", [sphere, hyperbolic], ids=["sphere", "hyperbolic"])
+def test_conformal_jet_rows_match_exact_rational_jet(make, d):
+    # each entry of A(V) is one signed V_c, so A of the rounded exact field is
+    # the exact jet rounded entrywise
+    model, order = make(d), 9
+    rng = np.random.default_rng(20 + d)
+    for x in rng.uniform(-0.45, 0.45, size=(3, d)):
+        exact = _reference_pattern(_exact_conformal_field(model, x, order)).reshape(-1, d**3)
+        data = model.christoffel_jet(x, order).data.reshape(-1, d**3)
+        error = np.max(np.abs(data - exact), axis=1)
+        assert np.all(error <= 2e-15 * np.max(np.abs(exact), axis=1))
+
+
+@pytest.mark.parametrize("model", [flat(3)] + CONFORMAL, ids=lambda m: f"{m.name}{m.dimension}")
+def test_jet_row_zero_is_christoffel_exactly(model):
+    rng = np.random.default_rng(9)
+    for p in seeded_points(model, 250, rng, radius=0.9 / np.sqrt(model.dimension)):
+        assert np.array_equal(model.christoffel_jet(p, 2).data[0], model.christoffel(p))

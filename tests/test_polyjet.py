@@ -138,22 +138,6 @@ def test_product_table_symmetry():
             assert t[i, j] == lookup[tuple(a + b)]
 
 
-def _constant(dim, degree, value):
-    out = PolyTensor.zeros(dim, degree, np.shape(value))
-    out.data[0] = value
-    return out
-
-
-def test_arithmetic_and_alignment():
-    a = _constant(2, 2, np.eye(2))
-    b = _constant(2, 1, np.eye(2))
-    c = a + b
-    assert c.degree == 1
-    assert np.allclose(c.value, 2 * np.eye(2))
-    with pytest.raises(ValueError):
-        a + _constant(3, 2, np.eye(2))
-
-
 def reference_product_table(dim, deg_a, deg_b, deg_out):
     """The plain double loop over exponent pairs."""
     lookup = {tuple(e): i for i, e in enumerate(monomial_exponents(dim, deg_out))}
