@@ -110,6 +110,8 @@ def _load_config(args) -> dict:
     if not isinstance(manifold_cfg, dict):
         raise InvalidInput("manifold must be a JSON object")
     if getattr(args, "seed", None) is not None:
+        if (kind := manifold_cfg.get("kind")) in ("flat", "sphere", "hyperbolic"):
+            raise InvalidInput(f"--seed applies only to a polynomial manifold, not to {kind!r}")
         manifold_cfg["seed"] = args.seed
     try:
         model = manifolds.from_config(manifold_cfg)

@@ -1,9 +1,10 @@
-"""Concrete chart models: flat space, round sphere, hyperbolic space, and
-seeded random polynomial connections.
+"""Concrete chart models: the conformally flat family of flat space, round
+spheres and hyperbolic space (sigma = 0, +1, -1), and seeded random
+polynomial connections.
 
 Every model supplies Christoffel symbols and their first partials in closed
-form on batches of chart points, and exact Christoffel jets: zero, A(V) for
-the conformal models' one vector field V = w x (only the scalar w takes the
+form on batches of chart points, and exact Christoffel jets: A(V) for the
+conformal family's one vector field V = w x (only the scalar w takes the
 Taylor division rule), or the polynomial shift.  No finite differencing and
 no multivariate polynomial product enters the curvature pipeline.
 """
@@ -22,32 +23,6 @@ MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial shi
 MAX_SCALE = np.finfo(float).max / 2  # uniform(-scale, scale) needs 2 scale in the double range
 
 
-class FlatSpace(ManifoldModel):
-    """R^d with the trivial connection; everything downstream is exactly zero."""
-
-    name = "flat"
-
-    def __init__(self, dimension: int):
-        if dimension < 1:
-            raise ValueError("dimension must be positive")
-        self.dimension = dimension
-
-    def christoffel_jet(self, x, order: int) -> PolyTensor:
-        d = self.dimension
-        return PolyTensor.zeros(d, order, (d, d, d))
-
-    def christoffel(self, x) -> np.ndarray:
-        d = self.dimension
-        return np.zeros(np.shape(x)[:-1] + (d, d, d))
-
-    def christoffel_partials(self, x) -> np.ndarray:
-        d = self.dimension
-        return np.zeros(np.shape(x)[:-1] + (d, d, d, d))
-
-    def metric(self, x) -> np.ndarray:
-        return np.eye(self.dimension)
-
-
 @lru_cache(maxsize=None)
 def _pattern_table(d: int) -> np.ndarray:
     """Read-only (d, d^3) table T of the unit patterns A(e_c), so that A(y) = y @ T exactly:
@@ -62,7 +37,8 @@ def _pattern_table(d: int) -> np.ndarray:
 
 
 class _ConformalModel(ManifoldModel):
-    """Conformally flat metric g = (a/u)^2 * I with u(x) = c0 + sigma |x|^2.
+    """Conformally flat metric g = (a/u)^2 * I with u(x) = c0 + sigma |x|^2:
+    flat space (sigma = 0), the sphere (+1) and hyperbolic space (-1).
 
     With phi = log a - log u the connection is linear in one vector field,
     Gamma = A(V) with V = dphi = w x and the scalar w = -2 sigma / u, so
@@ -76,9 +52,11 @@ class _ConformalModel(ManifoldModel):
     jet is exact to the truncation order; its row 0 is christoffel(x) exactly.
     """
 
+    min_dimension = 2
+
     def __init__(self, dimension: int, c0: float, sigma: float, factor_num: float):
-        if dimension < 2:
-            raise ValueError("dimension must be at least 2")
+        if dimension < self.min_dimension:
+            raise ValueError(f"dimension must be at least {self.min_dimension}")
         self.dimension = dimension
         self._c0 = float(c0)
         self._sigma = float(sigma)
@@ -123,6 +101,16 @@ class _ConformalModel(ManifoldModel):
             w[rows] = -(2.0 * sigma * lower + sigma * w[low2[:, rows]].sum(axis=0)) / u0
         v = w[:-1, None] * x + w[low.T]
         return PolyTensor(d, order, self._pattern(v))
+
+
+class FlatSpace(_ConformalModel):
+    """R^d: the conformal family at sigma = 0, so u = 1, w = 0, Gamma = A(0) = 0 and g = I."""
+
+    name = "flat"
+    min_dimension = 1
+
+    def __init__(self, dimension: int):
+        super().__init__(dimension, c0=1.0, sigma=0.0, factor_num=1.0)
 
 
 class Sphere(_ConformalModel):

@@ -28,13 +28,12 @@ two PolyTensors.
 
 from __future__ import annotations
 
+import itertools
 import math
 import string
 from functools import lru_cache
 
 import numpy as np
-
-from .series import compositions
 
 
 @lru_cache(maxsize=None)
@@ -46,11 +45,14 @@ def monomial_count(dim: int, degree: int) -> int:
 
 @lru_cache(maxsize=None)
 def monomial_exponents(dim: int, degree: int) -> np.ndarray:
-    """(M, dim) integer array of exponent tuples, graded then lexicographic."""
-    rows = []
+    """(M, dim) integer array of exponent tuples, graded then lexicographic: each
+    degree block is stars and bars, e_a = the gap between bars a - 1 and a, less one."""
+    blocks = []
     for total in range(degree + 1):
-        rows.extend(compositions(total, dim))
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), dim)
+        slots = total + dim - 1
+        bars = np.array(list(itertools.combinations(range(slots), dim - 1)), dtype=np.int64)
+        blocks.append(np.diff(bars, axis=1, prepend=-1, append=slots) - 1)
+    arr = np.concatenate(blocks)
     arr.flags.writeable = False
     return arr
 

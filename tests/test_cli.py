@@ -200,6 +200,42 @@ def test_seed_override_changes_result(tmp_path):
     assert not np.allclose(mat_a, mat_b)
 
 
+@pytest.mark.parametrize("kind", ["flat", "sphere", "hyperbolic"])
+def test_seed_flag_on_a_seedless_manifold_names_the_flag(tmp_path, capsys, kind):
+    cfg = {"manifold": {"kind": kind, "dimension": 2}, "vector": [0.1, 0.2], "max_degree": 6}
+    line = assert_invalid(["eval", "--config", write_config(tmp_path, cfg), "--seed", "3"],
+                          capsys)
+    assert "--seed" in line and repr(kind) in line and "config" not in line, line
+
+
+def test_seed_field_in_a_sphere_config_is_unused(tmp_path, capsys):
+    cfg = {"manifold": {"kind": "sphere", "dimension": 2, "seed": 3}, "vector": [0.1, 0.2]}
+    line = assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
+    assert line == "error: bad manifold config: unused manifold config fields: ['seed']", line
+
+
+@pytest.mark.parametrize("command, extra", [("verify", []), ("convergence", []),
+                                            ("lemma2", ["--n", "2"])])
+def test_flat_line_end_to_end(tmp_path, command, extra):
+    # d = 1, the flat floor: identity operator, zero distances, no -0.0 printed
+    cfg = {"manifold": {"kind": "flat", "dimension": 1}, "point": [-0.3], "vector": [0.2],
+           "max_degree": 6, "steps": 200}
+    out = tmp_path / "out.json"
+    assert main([command, "--config", write_config(tmp_path, cfg), *extra,
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    blob = json.loads(text)
+    assert blob["pass"] is True and "-0.0" not in text
+    if command == "verify":
+        assert blob["series"]["operator"]["matrix"] == blob["oracle"]["matrix"] == [[1.0]]
+        assert blob["distance"] == 0.0
+    elif command == "convergence":
+        assert [row["distance"] for row in blob["rows"]] == [0.0] * 5
+    else:
+        assert blob["lhs"]["matrix"] == blob["rhs"]["matrix"] == [[0.0]]
+        assert blob["distance"] == 0.0
+
+
 def test_cached_parser_keeps_no_state_between_commands(tmp_path):
     # the parser is built once per process; a --seed of one command must not
     # carry over into the next
@@ -524,6 +560,15 @@ def test_bad_dimension_is_invalid(tmp_path, capsys, dimension):
     assert main(["eval", "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad manifold config: dimension") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind, dimension", [("flat", 0), ("flat", -1), ("sphere", 1),
+                                              ("hyperbolic", 1), ("hyperbolic", 0)])
+def test_dimension_below_the_kind_floor_is_invalid(tmp_path, capsys, kind, dimension):
+    # flat space starts at d = 1, the sphere and hyperbolic space at d = 2
+    cfg = {"manifold": {"kind": kind, "dimension": dimension}, "vector": [0.1]}
+    line = assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
+    assert line.startswith("error: bad manifold config: dimension"), line
 
 
 def _never_called(*args, **kwargs):

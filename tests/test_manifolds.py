@@ -5,13 +5,14 @@ import pytest
 
 from dexpseries.manifolds import (
     FlatSpace,
+    _ConformalModel,
     flat,
     from_config,
     hyperbolic,
     polynomial_connection,
     sphere,
 )
-from dexpseries.polyjet import monomial_exponents
+from dexpseries.polyjet import monomial_count, monomial_exponents
 
 
 def seeded_points(model, count, rng, radius=0.35):
@@ -74,6 +75,34 @@ def test_flat_is_trivial():
     assert np.array_equal(model.christoffel(np.ones(4)), np.zeros((4, 4, 4)))
     jet = model.christoffel_jet(np.zeros(4), 5)
     assert not np.any(jet.data)
+
+
+def test_flat_space_is_the_conformal_family_at_sigma_zero():
+    assert issubclass(FlatSpace, _ConformalModel)
+    own = {"christoffel", "christoffel_partials", "christoffel_jet", "metric"}
+    assert not own & set(FlatSpace.__dict__)
+
+
+def _positive_zeros(a: np.ndarray, shape) -> bool:  # a -0.0 would print as -0.0 in an artifact
+    return a.shape == shape and not np.any(a) and not np.any(np.signbit(a))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["negative", "positive"])
+def test_flat_quantities_are_positive_zeros(d, sign):
+    model = flat(d)
+    rng = np.random.default_rng(d)
+    for shape in [(d,), (7, d), (3, 4, d)]:
+        x = sign * rng.uniform(0.1, 0.9, size=shape)
+        assert _positive_zeros(model.christoffel(x), shape[:-1] + (d,) * 3)
+        assert _positive_zeros(model.christoffel_partials(x), shape[:-1] + (d,) * 4)
+    x = sign * rng.uniform(0.1, 0.9, size=d)
+    for order in range(7):
+        jet = model.christoffel_jet(x, order)
+        assert jet.degree == order
+        assert _positive_zeros(jet.data, (monomial_count(d, order),) + (d,) * 3)
+    metric = model.metric(x)
+    assert np.array_equal(metric, np.eye(d)) and not np.any(np.signbit(metric))
 
 
 def test_sphere_conformal_factor_and_metric():
