@@ -37,13 +37,13 @@ import numpy as np
 from . import manifolds, series
 from .evaluate import closed_form_components, evaluate_closed_form, evaluate_recurrence
 from .geometry import ChartDomainError
-from .oracle import STENCIL_SAMPLE_KEYS, curvature_derivative_table, dexp_oracle
+from .oracle import BLOCK_STEPS, STENCIL_SAMPLE_KEYS, curvature_derivative_table, dexp_oracle
 from .taylor import curvature_operators
 from .tensors import operator_distance
 
 MAX_DEGREE_CAP = 12
 MIN_STEPS = 100
-MAX_STEPS = 100_000  # the oracle stores 2*steps + 1 trajectory nodes
+MAX_STEPS = 100_000  # bounds the oracle's time: 2*steps RK4 steps per geodesic
 MAX_ARRAY_BYTES = 2**29  # the largest arrays of a command, checked before they exist
 DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
 
@@ -197,11 +197,12 @@ def _within_budget(nbytes: int, what: str):
 
 
 def _oracle_budget(cfg, batch: int):
-    """dexp_oracle keeps Gamma, d Gamma and the curvature with its temporaries,
-    d^3 + 3 d^4 doubles, at each of the 2*steps + 1 nodes of every geodesic."""
-    d, steps = cfg["model"].dimension, cfg["steps"]
-    _within_budget((2 * steps + 1) * batch * (d**3 + 3 * d**4) * 8,
-                   f"ODE oracle node store ({batch} x {steps} steps in dimension {d})")
+    """dexp_oracle keeps d Gamma, Gamma with its contraction by x' and the
+    Jacobi system, d^4 + 2 d^3 + 12 d^2 doubles, at each of the 2*b + 1 nodes
+    of one block of b = min(steps, BLOCK_STEPS) coarse steps of every geodesic."""
+    d, block = cfg["model"].dimension, min(cfg["steps"], BLOCK_STEPS)
+    _within_budget((2 * block + 1) * batch * (d**4 + 2 * d**3 + 12 * d**2) * 8,
+                   f"ODE oracle node store ({batch} x {block}-step block in dimension {d})")
 
 
 def _series(cfg, route):
@@ -273,10 +274,12 @@ def cmd_lemma2(cfg: dict) -> tuple[dict, bool, str]:
     if cfg["n"] is None:
         raise InvalidInput("lemma2 needs a derivative order: config field 'n' or --n")
     order = cfg["n"]
-    d, steps = cfg["model"].dimension, cfg["steps"]
-    nodes = len(STENCIL_SAMPLE_KEYS)  # Gamma at every node of each stencil geodesic
-    _within_budget((2 * steps + 1) * nodes * d**3 * 8,
-                   f"stencil node store ({nodes} x {steps} steps in dimension {d})")
+    d, block = cfg["model"].dimension, min(cfg["steps"], BLOCK_STEPS)
+    # per stencil geodesic: Gamma, the transport generator and the frame at every
+    # node of one block, and d Gamma at its end
+    geodesics = len(STENCIL_SAMPLE_KEYS)
+    _within_budget(geodesics * ((2 * block + 1) * (d**3 + 2 * d**2) + d**4) * 8,
+                   f"stencil node store ({geodesics} x {block}-step block in dimension {d})")
     if order >= 2:  # the Christoffel jet of degree n - 1 and nabla^(n-2) R, d^(n+2) entries
         _within_budget((math.comb(d + order - 1, d) * d**3 + d ** (order + 2)) * 8,
                        f"dense prediction for order {order} in dimension {d}")

@@ -157,8 +157,7 @@ def curvature(model: ManifoldModel, x) -> DenseTensor:
     """Curvature tensor at x as a (1, 3) tensor, antisymmetric in the (X, Y) pair.
 
     Built from the model's closed-form Gamma and d Gamma at x, sharing no code
-    with the dense tower or the jets, so that the ODE oracle which uses the
-    same formula (riemann) stays independent of them.
+    with the dense tower or the jets.
     """
     x = np.asarray(x, dtype=float)
     model.require_in_domain(x)

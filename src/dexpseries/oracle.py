@@ -1,10 +1,11 @@
 """Independent ODE ground truth for the transported differential.
 
 Everything here is built from fixed-step classical RK4 integration of chart
-ODEs, using only the models' closed-form Christoffel symbols, their closed-form
-first partials, and the curvature formed from the two (geometry.riemann).
-Neither christoffel_jet, the Taylor route nor the dense tower enters; the
-tower supplies only the prediction that the derivative check compares against.
+ODEs, using only the models' closed-form Christoffel symbols and their
+closed-form first partials; the Jacobi matrix R(u, .)u is contracted from the
+two (jacobi_matrix), and the d^4 curvature is never formed.  Neither
+christoffel_jet, the Taylor route nor the dense tower enters; the tower
+supplies only the prediction that the derivative check compares against.
 The three pillars:
 
 * geodesics:           x'' = -Gamma(x)(x', x')
@@ -25,8 +26,16 @@ geodesics in lock step with one batched christoffel call per stage and checks
 the chart domain after every step, so the earliest exit time is reported.
 Trajectories are stored on a half-step grid (2*steps + 1 nodes) so that the
 linear ODEs along the curve take full RK4 steps with exact node data; they
-reuse Gamma kept from the first RK4 stage at each node, and curvature at all
-nodes takes one christoffel_partials call.
+reuse Gamma kept from the first RK4 stage at each node.
+
+dexp_oracle and transported_curvature stream the curve in blocks of
+BLOCK_STEPS coarse steps, so their memory does not grow with steps.  Per
+block, integrate_geodesic advances the geodesics from the end of the block
+before, one christoffel_partials call gives d Gamma at all of the block's
+nodes (dexp_oracle), jacobi_matrix forms the Jacobi matrices in one batched
+call, and the linear RK4 carries the state (J, DJ/dt and the frame, or the
+frame alone) into the next block.  The steps and their values are those of one
+whole-curve integration.
 """
 
 from __future__ import annotations
@@ -38,8 +47,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import ManifoldModel, curvature_jet, jacobi_operator, riemann
+from .geometry import ManifoldModel, curvature_jet, jacobi_operator
 from .tensors import LinearOperator
+
+BLOCK_STEPS = 64  # coarse RK4 steps per streamed block of the trajectory
 
 
 @dataclass
@@ -77,23 +88,27 @@ def _as_operators(matrices: np.ndarray, v: np.ndarray):
     return [LinearOperator(m) for m in matrices]
 
 
-def integrate_geodesic(model: ManifoldModel, p, v, steps: int) -> GeodesicTrajectory:
+def integrate_geodesic(model: ManifoldModel, p, v, steps: int, start: int = 0,
+                       stop: int | None = None) -> GeodesicTrajectory:
     """RK4 integration of the geodesics with gamma(0) = p, gamma'(0) = v on [0, 1].
 
     v is one velocity (d,) or a batch (B, d), all integrated in lock step.  The
-    trajectory is stored at 2*steps + 1 nodes (every half step).  Leaving the
-    chart domain raises ChartDomainError carrying the earliest exit time.
+    trajectory is stored at 2*steps + 1 nodes (every half step).  Given start
+    and stop, only the coarse steps start..stop of that grid are taken, from
+    position p and velocity v at t = start / steps.  Leaving the chart domain
+    raises ChartDomainError carrying the earliest exit time.
     """
     if steps < 1:
         raise ValueError("steps must be positive")
+    stop = steps if stop is None else stop
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=float)
-    model.require_in_domain(p, time=0.0)
+    times = np.linspace(0.0, 1.0, 2 * steps + 1)[2 * start:2 * stop + 1]
+    model.require_in_domain(p, time=times[0])
 
-    n_fine = 2 * steps
-    h = 1.0 / n_fine
+    n_fine = len(times) - 1
+    h = 1.0 / (2 * steps)
     d = model.dimension
-    times = np.linspace(0.0, 1.0, n_fine + 1)
     positions = np.empty((n_fine + 1,) + v.shape)
     velocities = np.empty_like(positions)
     gammas = np.empty(positions.shape + (d, d))
@@ -117,9 +132,32 @@ def integrate_geodesic(model: ManifoldModel, p, v, steps: int) -> GeodesicTrajec
     return GeodesicTrajectory(times, positions, velocities, gammas)
 
 
+def _geodesic_blocks(model: ManifoldModel, p, v, steps: int):
+    """The trajectory of integrate_geodesic in consecutive blocks of BLOCK_STEPS
+    coarse steps, each starting at the last node of the one before.  A block is
+    released before the next one is integrated if the caller drops it too."""
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    for start in range(0, steps, BLOCK_STEPS):
+        traj = integrate_geodesic(model, p, v, steps, start, min(start + BLOCK_STEPS, steps))
+        p, v = traj.endpoint, traj.velocities[-1]
+        yield traj
+        del traj
+
+
 def _transport_generators(traj: GeodesicTrajectory) -> np.ndarray:
     """A(t_k) with u' = A u for parallel transport: A = -Gamma(x)(x', .) at each node."""
     return -np.einsum("n...kij,n...i->n...kj", traj.christoffels, traj.velocities)
+
+
+def jacobi_matrix(gamma: np.ndarray, dgamma: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """M = R(u, .)u, M[..., l, j] = R[l, i, j, k] u^i u^k, from Gamma, d Gamma[..., a]
+    and u at any batch of points, without forming the d^4 curvature:
+    M = d_u Gamma(., u) - d_(.) Gamma(u, u) + G G - Gamma(., Gamma(u, u)), G = Gamma(u, .)."""
+    dgu = np.einsum("...aljk,...k->...alj", dgamma, u)
+    g = np.einsum("...lim,...i->...lm", gamma, u)
+    return (np.einsum("...alj,...a->...lj", dgu, u) - np.einsum("...jli,...i->...lj", dgu, u)
+            + g @ g - np.einsum("...ljm,...mk,...k->...lj", gamma, g, u))
 
 
 def _integrate_linear(a_nodes: np.ndarray, times: np.ndarray, y0: np.ndarray) -> np.ndarray:
@@ -141,11 +179,14 @@ def _integrate_linear(a_nodes: np.ndarray, times: np.ndarray, y0: np.ndarray) ->
     return out
 
 
-def transport_frame(model: ManifoldModel, traj: GeodesicTrajectory) -> TransportFrame:
-    """Parallel transport of the full coordinate basis along the trajectory
-    (each trajectory of a batch); Gamma comes from the stored nodes."""
-    identity = np.broadcast_to(np.eye(model.dimension), traj.christoffels.shape[1:-1])
-    frames = _integrate_linear(_transport_generators(traj), traj.times, identity)
+def transport_frame(model: ManifoldModel, traj: GeodesicTrajectory,
+                    initial=None) -> TransportFrame:
+    """Parallel transport of a frame along the trajectory (each trajectory of a
+    batch): initial at traj.times[0], the coordinate basis by default; Gamma
+    comes from the stored nodes."""
+    if initial is None:
+        initial = np.broadcast_to(np.eye(model.dimension), traj.christoffels.shape[1:-1])
+    frames = _integrate_linear(_transport_generators(traj), traj.times, initial)
     return TransportFrame(traj.times[::2], frames)
 
 
@@ -158,24 +199,21 @@ def dexp_oracle(model: ManifoldModel, p, v, steps: int):
     integrate jointly as one matrix ODE (per batch member).
     """
     v = np.asarray(v, dtype=float)
-    traj = integrate_geodesic(model, p, v, steps)
     d = model.dimension
-    a_nodes = _transport_generators(traj)
-    r_nodes = riemann(traj.christoffels, model.christoffel_partials(traj.positions))
-    rj_nodes = np.einsum("n...lijk,n...i,n...k->n...lj", r_nodes, traj.velocities,
-                         traj.velocities)
-
-    # state Y = [J; K; F] with J' = K + A J, K' = RJ J + A K and F' = A F
-    a_big = np.zeros(a_nodes.shape[:-2] + (3 * d, 3 * d))
-    for b in range(3):
-        a_big[..., b * d:(b + 1) * d, b * d:(b + 1) * d] = a_nodes
-    a_big[..., :d, d:2 * d] = np.eye(d)
-    a_big[..., d:2 * d, :d] = rj_nodes
-
-    y0 = np.zeros(v.shape[:-1] + (3 * d, d))
-    y0[..., d:2 * d, :] = y0[..., 2 * d:, :] = np.eye(d)
-    end = _integrate_linear(a_big, traj.times, y0)[-1]
-    return _as_operators(np.linalg.solve(end[..., 2 * d:, :], end[..., :d, :]), v)
+    # state Y = [J; K; F] with J' = K + A J, K' = M J + A K and F' = A F
+    y = np.zeros(v.shape[:-1] + (3 * d, d))
+    y[..., d:2 * d, :] = y[..., 2 * d:, :] = np.eye(d)
+    for traj in _geodesic_blocks(model, p, v, steps):
+        a_nodes = _transport_generators(traj)
+        m_nodes = jacobi_matrix(traj.christoffels, model.christoffel_partials(traj.positions),
+                                traj.velocities)
+        a_big = np.zeros(a_nodes.shape[:-2] + (3 * d, 3 * d))
+        for b in range(3):
+            a_big[..., b * d:(b + 1) * d, b * d:(b + 1) * d] = a_nodes
+        a_big[..., :d, d:2 * d] = np.eye(d)
+        a_big[..., d:2 * d, :d] = m_nodes
+        y = _integrate_linear(a_big, traj.times, y)[-1]
+    return _as_operators(np.linalg.solve(y[..., 2 * d:, :], y[..., :d, :]), v)
 
 
 def transported_curvature(model: ManifoldModel, p, v, steps: int):
@@ -185,11 +223,13 @@ def transported_curvature(model: ManifoldModel, p, v, steps: int):
     outer slots carry the transported v.  v may be a batch, as everywhere here.
     """
     v = np.asarray(v, dtype=float)
-    traj = integrate_geodesic(model, p, v, steps)
-    f = transport_frame(model, traj).end
-    r_end = riemann(traj.christoffels[-1], model.christoffel_partials(traj.endpoint))
+    f = None
+    for traj in _geodesic_blocks(model, p, v, steps):
+        f = transport_frame(model, traj, f).end
+        x_end = traj.endpoint
+        del traj  # so that one block is held at a time
     fv = np.einsum("...ij,...j->...i", f, v)
-    mid = np.einsum("...lijk,...i,...k->...lj", r_end, fv, fv)
+    mid = jacobi_matrix(model.christoffel(x_end), model.christoffel_partials(x_end), fv)
     return _as_operators(np.linalg.solve(f, mid @ f), v)
 
 

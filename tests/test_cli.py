@@ -576,19 +576,19 @@ def _never_called(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command, manifold, steps, extra, patched, stage", [
-    # 200001 nodes x (10^3 + 3 * 10^4) doubles: about 46 GiB
-    ("verify", {"kind": "sphere", "dimension": 10}, 100_000, [], "dexp_oracle",
+    # one block of 129 nodes x (30^4 + 2 * 30^3 + 12 * 30^2) doubles: about 0.8 GiB
+    ("verify", {"kind": "sphere", "dimension": 30}, 100_000, [], "dexp_oracle",
      "ODE oracle node store"),
-    # one d = 3 geodesic of 100000 steps fits (0.4 GiB); the five of the t sweep do not
-    ("convergence", {"kind": "polynomial", "dimension": 3}, 100_000, [], "dexp_oracle",
+    # one d = 18 geodesic's block fits (0.1 GiB); those of the five t values do not
+    ("convergence", {"kind": "sphere", "dimension": 18}, 100_000, [], "dexp_oracle",
      "ODE oracle node store"),
-    # Gamma at 20001 nodes of 13 geodesics in d = 10: about 1.9 GiB
-    ("lemma2", {"kind": "sphere", "dimension": 10}, 10_000, ["--n", "2"],
+    # Gamma at the 129 nodes of a block of 13 geodesics in d = 36: about 0.8 GiB
+    ("lemma2", {"kind": "sphere", "dimension": 36}, 10_000, ["--n", "2"],
      "curvature_derivative_table", "stencil node store"),
     # nabla^2 R in d = 20 holds 20^6 doubles, plus the degree-3 Christoffel jet
     ("lemma2", {"kind": "flat", "dimension": 20}, 100, ["--n", "4"],
      "curvature_derivative_table", "dense prediction"),
-], ids=["verify-d10", "convergence-batch", "lemma2-nodes", "lemma2-dense"])
+], ids=["verify-d30", "convergence-batch", "lemma2-nodes", "lemma2-dense"])
 def test_oracle_and_lemma2_over_budget_are_refused_before_they_allocate(
         tmp_path, capsys, monkeypatch, command, manifold, steps, extra, patched, stage):
     monkeypatch.setattr(f"dexpseries.cli.{patched}", _never_called)
@@ -599,6 +599,33 @@ def test_oracle_and_lemma2_over_budget_are_refused_before_they_allocate(
     assert main([command, "--config", write_config(tmp_path, cfg)] + extra) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: " + stage), err
+
+
+class _PastTheBudget(Exception):
+    pass
+
+
+def _past_the_budget(*args, **kwargs):
+    raise _PastTheBudget
+
+
+@pytest.mark.parametrize("command, manifold, steps, extra, patched", [
+    ("verify", {"kind": "sphere", "dimension": 10}, 100_000, [], "dexp_oracle"),
+    ("convergence", {"kind": "polynomial", "dimension": 3}, 100_000, [], "dexp_oracle"),
+    ("lemma2", {"kind": "sphere", "dimension": 10}, 10_000, ["--n", "2"],
+     "curvature_derivative_table"),
+], ids=["verify-d10", "convergence-d3", "lemma2-d10"])
+def test_streamed_oracle_inputs_pass_the_budget(tmp_path, monkeypatch, command, manifold,
+                                                steps, extra, patched):
+    # the oracle holds one block of BLOCK_STEPS coarse steps, whatever steps is:
+    # these inputs were refused while it held every node, and are stopped here
+    # where the oracle would start
+    monkeypatch.setattr(f"dexpseries.cli.{patched}", _past_the_budget)
+    d = manifold["dimension"]
+    cfg = {"manifold": manifold, "point": [0.0] * d, "vector": [0.1] + [0.0] * (d - 1),
+           "max_degree": 4, "steps": steps}
+    with pytest.raises(_PastTheBudget):
+        main([command, "--config", write_config(tmp_path, cfg)] + extra)
 
 
 # -- the exit-code contract over drawn configs -----------------------------------------

@@ -5,13 +5,15 @@ import pytest
 
 import dexpseries
 from dexpseries.evaluate import evaluate_closed_form
-from dexpseries.geometry import ChartDomainError, curvature_jet, jacobi_operator
+from dexpseries.geometry import ChartDomainError, curvature_jet, jacobi_operator, riemann
 from dexpseries.manifolds import flat, hyperbolic, polynomial_connection, sphere
 from dexpseries.oracle import (
+    BLOCK_STEPS,
     curvature_derivative_table,
     dexp_oracle,
     fd_weights,
     integrate_geodesic,
+    jacobi_matrix,
     transport_frame,
     transported_curvature,
 )
@@ -340,3 +342,126 @@ def test_batch_chart_exit_reports_earliest_time():
         with pytest.raises(ChartDomainError) as info:
             call(model, p, vs, 100)
         assert info.value.exit_time == times[0]
+
+
+# -- the streamed oracle against one whole-curve integration ---------------------------
+
+FIVE_MODELS = [(flat(3), np.array([0.5, -1.0, 0.2])),
+               (sphere(3, 1.3), np.array([0.1, 0.05, -0.1])),
+               (hyperbolic(2), np.array([0.1, 0.15])),
+               (polynomial_connection(3, 3, 0.5, 42), np.array([0.05, 0.0, -0.1])),
+               (polynomial_connection(4, 2, 0.4, 3), np.zeros(4))]
+FIVE_IDS = ["flat3", "sphere3", "hyperbolic2", "polynomial3", "polynomial4"]
+
+
+def _whole_curve_reference(model, p, v, steps):
+    """dexp_oracle and transported_curvature from one trajectory of all 2*steps + 1
+    nodes, with the Jacobi matrix contracted from the d^4 curvature (riemann)."""
+    traj = integrate_geodesic(model, p, v, steps)
+    d = model.dimension
+    f = transport_frame(model, traj).end
+    fv = np.einsum("...ij,...j->...i", f, v)
+    r_end = riemann(traj.christoffels[-1], model.christoffel_partials(traj.endpoint))
+    transported = np.linalg.solve(f, np.einsum("...lijk,...i,...k->...lj", r_end, fv, fv) @ f)
+
+    u = traj.velocities
+    a = -np.einsum("n...kij,n...i->n...kj", traj.christoffels, u)
+    r = riemann(traj.christoffels, model.christoffel_partials(traj.positions))
+    big = np.zeros(a.shape[:-2] + (3 * d, 3 * d))
+    for b in range(3):
+        big[..., b * d:(b + 1) * d, b * d:(b + 1) * d] = a
+    big[..., :d, d:2 * d] = np.eye(d)
+    big[..., d:2 * d, :d] = np.einsum("n...lijk,n...i,n...k->n...lj", r, u, u)
+    y = np.zeros(v.shape[:-1] + (3 * d, d))
+    y[..., d:2 * d, :] = y[..., 2 * d:, :] = np.eye(d)
+    for s in range(steps):  # RK4 on the half-step grid, as in transport_frame
+        n0, h = 2 * s, traj.times[2 * s + 2] - traj.times[2 * s]
+        k1 = big[n0] @ y
+        k2 = big[n0 + 1] @ (y + 0.5 * h * k1)
+        k3 = big[n0 + 1] @ (y + 0.5 * h * k2)
+        k4 = big[n0 + 2] @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.linalg.solve(y[..., 2 * d:, :], y[..., :d, :]), transported
+
+
+def _matrices(ops):
+    return np.array([op.matrix for op in ops]) if isinstance(ops, list) else ops.matrix
+
+
+@pytest.mark.parametrize("batch", [None, 3], ids=["single", "batch"])
+@pytest.mark.parametrize("steps", [30, 100, 150, 200])
+@pytest.mark.parametrize("model, p", FIVE_MODELS, ids=FIVE_IDS)
+def test_streamed_oracle_matches_whole_curve_reference(model, p, steps, batch):
+    # 30 steps are less than one block; 100, 150 and 200 end in a partial block
+    assert steps < BLOCK_STEPS or steps % BLOCK_STEPS
+    rng = np.random.default_rng(steps)
+    d = model.dimension
+    v = rng.uniform(-0.3, 0.3, size=(d,) if batch is None else (batch, d))
+    jacobi_ref, transported_ref = _whole_curve_reference(model, p, v, steps)
+    assert _rel(_matrices(dexp_oracle(model, p, v, steps)), jacobi_ref) <= 1e-13
+    assert _rel(_matrices(transported_curvature(model, p, v, steps)), transported_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("steps", [30, 64, 150, 200])
+def test_blocks_tile_the_whole_curve_grid(monkeypatch, steps):
+    # the oracle takes the 2*steps half steps of one integration, on its exact time
+    # grid, in blocks of BLOCK_STEPS coarse steps, each from the end of the last
+    model, p = polynomial_connection(3, 3, 0.5, 42), np.array([0.05, 0.0, -0.1])
+    v = np.array([[0.2, -0.1, 0.15], [0.1, 0.1, -0.2]])
+    whole = integrate_geodesic(model, p, v, steps)
+    blocks = []
+
+    def recording(*args):
+        traj = integrate_geodesic(*args)
+        blocks.append(traj)
+        return traj
+
+    monkeypatch.setattr(dexpseries.oracle, "integrate_geodesic", recording)
+    for call in (dexp_oracle, transported_curvature):
+        blocks.clear()
+        call(model, p, v, steps)
+        assert len(blocks) == -(-steps // BLOCK_STEPS)
+        assert sum(len(b.times) - 1 for b in blocks) == 2 * steps
+        n0 = 0
+        for b in blocks:
+            n1 = n0 + len(b.times)
+            assert np.array_equal(b.times, whole.times[n0:n1])
+            assert np.array_equal(b.positions, whole.positions[n0:n1])
+            assert np.array_equal(b.christoffels, whole.christoffels[n0:n1])
+            n0 = n1 - 1
+
+
+@pytest.mark.parametrize("call", [integrate_geodesic, dexp_oracle, transported_curvature])
+def test_nonpositive_steps_are_refused(call):
+    for steps in (0, -3):
+        with pytest.raises(ValueError, match="steps must be positive"):
+            call(flat(2), np.zeros(2), np.array([0.1, 0.2]), steps)
+
+
+def test_chart_exit_in_a_later_block_reports_earliest_time():
+    model = polynomial_connection(2, 2, 0.2, 5)
+    p, steps = np.array([0.9, 0.0]), 200
+    vs = np.array([[0.05, 0.0], [0.2, 0.0], [0.15, 0.0]])  # first inside, then exits
+    with pytest.raises(ChartDomainError) as info:
+        integrate_geodesic(model, p, vs, steps)
+    earliest = info.value.exit_time
+    assert BLOCK_STEPS / steps < earliest < 1.0  # past the first block
+    for v, expected in ((vs, earliest), (vs[1], earliest)):
+        for call in (dexp_oracle, transported_curvature):
+            with pytest.raises(ChartDomainError) as info:
+                call(model, p, v, steps)
+            assert info.value.exit_time == expected
+
+
+@pytest.mark.parametrize("model, p", FIVE_MODELS, ids=FIVE_IDS)
+def test_jacobi_matrix_is_the_contracted_curvature(model, p):
+    rng = np.random.default_rng(9)
+    d = model.dimension
+    for shape in ((), (7,), (3, 2)):
+        x = p + rng.uniform(-0.2, 0.2, size=shape + (d,))
+        u = rng.uniform(-1.0, 1.0, size=shape + (d,))
+        gamma, dgamma = model.christoffel(x), model.christoffel_partials(x)
+        want = np.einsum("...lijk,...i,...k->...lj", riemann(gamma, dgamma), u, u)
+        got = jacobi_matrix(gamma, dgamma, u)
+        assert got.shape == shape + (d, d)
+        assert _rel(got, want) <= 1e-13
