@@ -5,8 +5,8 @@ polynomial connections.
 Every model supplies Christoffel symbols and their first partials in closed
 form on batches of chart points, and exact Christoffel jets: A(V) for the
 conformal family's one vector field V = w x (only the scalar w takes the
-Taylor division rule), or the polynomial shift.  No finite differencing and
-no multivariate polynomial product enters the curvature pipeline.
+Taylor division rule), or Taylor's theorem along x (polynomials).  No finite
+differencing and no multivariate polynomial product enters the curvature pipeline.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from .geometry import ManifoldModel
 from .polyjet import PolyTensor, lowering_table, monomial_count, monomial_exponents
 
-MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial shift tables
+MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial monomial count
 MAX_SCALE = np.finfo(float).max / 2  # uniform(-scale, scale) needs 2 scale in the double range
 
 
@@ -144,26 +144,19 @@ class HyperbolicSpace(_ConformalModel):
 
 @lru_cache(maxsize=None)
 def _poly_tables(d: int, degree: int):
-    """Read-only exponent tables shared by every polynomial model of (d, degree).
-
-    Returns the monomial exponents (M, d); the lowered exponents (d, M, d),
-    [a, s] = exps[s] - 1_a floored at 0, for the partials; and the shift
-    exponents and binomials (M, M, d) and (M, M) for recentering.  The target
-    monomials of a shift are the same set: a shifted degree-D polynomial has
-    degree D.
-    """
+    """Read-only tables shared by every polynomial model of (d, degree): the
+    monomial exponents exps (M, d); lowered (d, M), [a, s] the row of
+    exps[s] - 1_a, or s where exps[s][a] = 0; and raised (d, M'), [a, m] the
+    row of exps[m] + 1_a for the M' monomials below degree D."""
     exps = monomial_exponents(d, degree)
-    lowered = np.clip(exps[None, :, :] - np.eye(d, dtype=exps.dtype)[:, None, :], 0, None)
-    ea = exps[:, None, :]
-    eb = exps[None, :, :]
-    diff = ea - eb
-    valid = np.all(diff >= 0, axis=2)
-    shift_exps = np.clip(diff, 0, None)
-    comb = np.vectorize(math.comb)
-    binom = np.where(valid, np.prod(comb(ea, np.minimum(eb, ea)), axis=2), 0.0)
-    for table in (lowered, shift_exps, binom):
+    row = {e: s for s, e in enumerate(map(tuple, exps.tolist()))}
+    unit, below = np.eye(d, dtype=exps.dtype), exps[:monomial_count(d, degree - 1)]
+    lowered = np.array([[row.get(tuple(e), s) for s, e in enumerate((exps - u).tolist())]
+                        for u in unit], dtype=np.intp)
+    raised = np.array([[row[tuple(e)] for e in (below + u).tolist()] for u in unit], dtype=np.intp)
+    for table in (lowered, raised):
         table.flags.writeable = False
-    return exps, lowered, shift_exps, binom
+    return exps, lowered, raised
 
 
 class PolynomialConnection(ManifoldModel):
@@ -173,11 +166,11 @@ class PolynomialConnection(ManifoldModel):
     symmetrized in the lower index pair; generation is deterministic in the
     seed.  Jets are exact polynomial recenterings.
 
-    Gamma, its partials and the jet all weight the coefficients by monomials
-    x^e.  Each call builds one power table x_a^k (k = 0..D, d (D+1) pow
-    calls) and gathers the d factors of every monomial from it, instead of
-    one pow per (monomial, variable) pair.  The exponent tables are shared,
-    read-only, by all models of the same dimension and degree.
+    Gamma and its partials weight the coefficients by monomials x^e, each
+    gathered from one power table x_a^k (k = 0..D, d (D+1) pow calls); the
+    partials gather x^(e - 1_a) by the lowered rows.  The jet is Taylor's
+    theorem along x, Gamma(x + xi) = sum_{j <= D} (x . grad)^j Gamma(xi) / j!,
+    where (x . grad) P has row m = sum_a x_a (e_m + 1_a)_a P[e_m + 1_a].
     """
 
     name = "polynomial"
@@ -195,8 +188,7 @@ class PolynomialConnection(ManifoldModel):
         self.seed = int(seed)
 
         d = dimension
-        self._exps, self._lowered_exps, self._shift_exps, self._shift_binom = _poly_tables(
-            d, self.max_poly_degree)
+        self._exps, self._lowered, self._raised = _poly_tables(d, self.max_poly_degree)
         rng = np.random.default_rng(self.seed)
         raw = rng.uniform(-self.scale, self.scale, size=(len(self._exps), d, d, d))
         self.coefficients = 0.5 * (raw + raw.swapaxes(2, 3))
@@ -204,32 +196,36 @@ class PolynomialConnection(ManifoldModel):
     def in_domain(self, x) -> np.ndarray:
         return np.einsum("...i,...i->...", x, x) < 1.0
 
-    def _monomials(self, x: np.ndarray, exps: np.ndarray) -> np.ndarray:
-        """x^e for every exponent row e of exps (..., d), at chart points x (..., d).
+    def _monomials(self, x: np.ndarray) -> np.ndarray:
+        """x^e for every monomial exponent row e, at chart points x (..., d).
 
         The d (D+1) powers x_a^k come from one pow table and are gathered per
         exponent row, so every factor is the same pow value as x_a ** e_a and
         the product runs in the same order."""
-        d = self.dimension
         powers = x[..., :, None] ** np.arange(self.max_poly_degree + 1)
-        return np.multiply.reduce(powers[..., np.arange(d), exps], axis=-1)
+        return np.multiply.reduce(powers[..., np.arange(self.dimension), self._exps], axis=-1)
 
     def christoffel(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        weights = self._monomials(x, self._exps)
+        weights = self._monomials(x)
         return np.einsum("...s,skij->...kij", weights, self.coefficients)
 
     def christoffel_partials(self, x) -> np.ndarray:
-        # d_a x^e = e_a x^(e - 1_a): lowered exponents times the old exponent
+        # d_a x^e = e_a x^(e - 1_a): the lowered monomial times the old exponent
         x = np.asarray(x, dtype=float)
-        weights = self._exps.T * self._monomials(x, self._lowered_exps)
+        weights = self._exps.T * self._monomials(x)[..., self._lowered]
         return np.einsum("...as,skij->...akij", weights, self.coefficients)
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
-        d = self.dimension
-        weights = self._shift_binom * self._monomials(x, self._shift_exps)
-        shifted = np.einsum("st,skij->tkij", weights, self.coefficients)
+        d, degree = self.dimension, self.max_poly_degree
+        term = self.coefficients
+        shifted = term.copy()
+        for j in range(1, degree + 1):  # each step lowers the degree by one
+            rows = monomial_count(d, degree - j)
+            weights = x[:, None] * (self._exps[:rows].T + 1) / j
+            term = np.einsum("am,amkij->mkij", weights, term[self._raised[:, :rows]])
+            shifted[:rows] += term
         out = PolyTensor.zeros(d, order, (d, d, d))
         rows = min(out.data.shape[0], shifted.shape[0])
         out.data[:rows] = shifted[:rows]
@@ -297,7 +293,8 @@ def from_config(config: dict) -> ManifoldModel:
     elif kind == "polynomial":
         poly_degree = integer(cfg.pop("degree", 3), "degree")
         m = math.comb(d + max(poly_degree, 0), d)  # monomials of degree <= poly_degree
-        if 8 * m * d * (m + d * d) > MAX_POLY_TABLE_BYTES:  # (M, M, d) and (M, d, d, d)
+        # caps M, and so the per-node monomial gathers that the oracle count leaves out
+        if 8 * m * d * (m + d * d) > MAX_POLY_TABLE_BYTES:
             raise ValueError(f"polynomial degree {poly_degree} is too high for dimension {d}")
         model = polynomial_connection(d, poly_degree, number(cfg.pop("scale", 0.5), "scale"),
                                       integer(cfg.pop("seed", 0), "seed", low=0))

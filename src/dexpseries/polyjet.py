@@ -193,7 +193,7 @@ def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None =
     mono = next(c for c in string.ascii_letters if c not in used)
     stage_sub = f"{a_sub},{mono}{b_sub}->{mono}{out_sub}"
 
-    out_shape = _einsum_output_shape(subscripts, a.shape, b.shape)
+    out_shape = np.einsum(stage_sub, a.data[0], b.data[:0]).shape[1:]
     out = PolyTensor.zeros(a.dim, degree, out_shape)
     table = product_table(a.dim, a.degree, b.degree, degree)
     mb = b.data.shape[0]
@@ -209,13 +209,3 @@ def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None =
         out.data[idx[valid]] += contrib
     return out
 
-
-def _einsum_output_shape(subscripts, a_shape, b_shape):
-    lhs, out_sub = subscripts.split("->")
-    a_sub, b_sub = lhs.split(",")
-    sizes = {}
-    for letter, size in zip(a_sub, a_shape):
-        sizes[letter] = size
-    for letter, size in zip(b_sub, b_shape):
-        sizes[letter] = size
-    return tuple(sizes[c] for c in out_sub)

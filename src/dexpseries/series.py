@@ -26,6 +26,8 @@ import io
 import math
 from fractions import Fraction
 
+from .polyjet import monomial_count, monomial_exponents
+
 Word = tuple[int, ...]
 
 
@@ -70,25 +72,17 @@ def coefficient(nu: Word) -> Fraction:
     return Fraction(1, word_factorial(nu) * denominator(nu))
 
 
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to `total`, lexicographic."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def words_of_degree(n: int) -> list[Word]:
-    """All words of the given degree, ordered by length then lexicographically."""
+    """All words of the given degree, ordered by length then lexicographically:
+    the k-entry words are the degree-(n - 2k) exponent tuples in k variables."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return [()]
     out: list[Word] = []
     for k in range(1, n // 2 + 1):
-        out.extend(compositions(n - 2 * k, k))
+        t = n - 2 * k
+        out.extend(map(tuple, monomial_exponents(k, t)[monomial_count(k, t - 1):].tolist()))
     return out
 
 

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -439,7 +440,7 @@ def test_huge_steps_is_invalid(tmp_path, capsys):
 
 
 def test_polynomial_degree_over_bound_is_invalid(tmp_path, capsys):
-    # the shift tables would hold C(63, 3)^2 * 3 entries, about 38 GB
+    # C(63, 3) = 39711 monomials, far past the cap on their count (degree 19 at d = 3)
     cfg = dict(POLY_CONFIG, manifold=dict(POLY_CONFIG["manifold"], degree=60))
     assert_invalid(["eval", "--config", write_config(tmp_path, cfg)], capsys)
 
@@ -626,6 +627,24 @@ def test_streamed_oracle_inputs_pass_the_budget(tmp_path, monkeypatch, command, 
            "max_degree": 4, "steps": steps}
     with pytest.raises(_PastTheBudget):
         main([command, "--config", write_config(tmp_path, cfg)] + extra)
+
+
+@pytest.mark.parametrize("d, batch", [(10, 1), (10, 2), (14, 1)])
+def test_polynomial_oracle_peak_stays_near_the_budget_count(monkeypatch, d, batch):
+    # the bytes cli._oracle_budget counts for one block bound what dexp_oracle
+    # really holds: the per-node monomial gathers are d M doubles, not d^2 M
+    counted = []
+    monkeypatch.setattr(dexpseries.cli, "_within_budget", lambda nbytes, what: counted.append(nbytes))
+    model, steps = dexpseries.polynomial_connection(d, 3, 0.5, 0), 8
+    dexpseries.cli._oracle_budget({"model": model, "steps": steps}, batch)
+    p, v = np.zeros(d), np.outer(np.linspace(0.5, 1.0, batch), np.full(d, 0.02))
+    tracemalloc.start()
+    try:
+        dexpseries.dexp_oracle(model, p, v, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * counted[0]
 
 
 # -- the exit-code contract over drawn configs -----------------------------------------

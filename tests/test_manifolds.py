@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -236,13 +238,12 @@ def _reference_christoffel(model, x):
 
 
 def _reference_partials(model, x):
-    weights = model._exps.T * np.prod(x[..., None, None, :] ** model._lowered_exps, axis=-1)
+    # (d, M, d) lowered exponents e - 1_a floored at 0; the floored rows get weight e_a = 0
+    exps = model._exps
+    lowered = np.clip(exps[None, :, :] - np.eye(model.dimension, dtype=exps.dtype)[:, None, :],
+                      0, None)
+    weights = exps.T * np.prod(x[..., None, None, :] ** lowered, axis=-1)
     return np.einsum("...as,skij->...akij", weights, model.coefficients)
-
-
-def _reference_jet_rows(model, x):
-    powers = np.prod(x[None, None, :] ** model._shift_exps, axis=2)
-    return np.einsum("st,skij->tkij", model._shift_binom * powers, model.coefficients)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -254,23 +255,56 @@ def test_polynomial_power_table_is_bit_identical_to_elementwise_powers(d, poly_d
         x = rng.uniform(-0.6, 0.6, size=shape)
         assert np.array_equal(model.christoffel(x), _reference_christoffel(model, x))
         assert np.array_equal(model.christoffel_partials(x), _reference_partials(model, x))
-    p = rng.uniform(-0.5, 0.5, size=d)
-    shifted = _reference_jet_rows(model, p)
+
+
+def _exact_recentering(model, x):
+    """Gamma(x + xi) in xi by the binomial expansion of every (x + xi)^e, in exact
+    rational arithmetic, rounded once to doubles."""
+    d = model.dimension
+    exps = [tuple(e) for e in model._exps.tolist()]
+    row = {e: s for s, e in enumerate(exps)}
+    coefficients = np.vectorize(Fraction, otypes=[object])(model.coefficients)
+    x = [Fraction(float(c)) for c in x]
+    out = np.zeros(model.coefficients.shape, dtype=object)
+    for e, c in zip(exps, coefficients):
+        for t in itertools.product(*(range(k + 1) for k in e)):
+            weight = Fraction(1)
+            for a in range(d):
+                weight *= math.comb(e[a], t[a]) * x[a] ** (e[a] - t[a])
+            out[row[t]] += weight * c
+    return out.astype(float)
+
+
+@pytest.mark.parametrize("d, poly_degree", [(2, 0), (2, 1), (2, 5), (3, 3), (3, 5), (4, 3),
+                                            (5, 2)])
+def test_polynomial_jet_matches_exact_rational_recentering(d, poly_degree):
+    model = polynomial_connection(d, poly_degree, 0.5, 3)
+    p = np.random.default_rng(10 * d + poly_degree).uniform(-0.5, 0.5, size=d)
+    exact = _exact_recentering(model, p)
     for order in sorted({max(poly_degree - 1, 0), poly_degree, poly_degree + 2}):
         data = model.christoffel_jet(p, order).data
-        rows = min(len(data), len(shifted))  # truncated below D, zero-padded above
-        assert np.array_equal(data[:rows], shifted[:rows]) and not np.any(data[rows:])
+        rows = min(len(data), len(exact))  # truncated below D, zero-padded above
+        assert np.max(np.abs(data[:rows] - exact[:rows])) <= 1e-15 * np.max(np.abs(exact))
+        assert not np.any(data[rows:])
 
 
 def test_polynomial_models_share_read_only_exponent_tables():
     a = polynomial_connection(3, 3, 0.5, 1)
     b = polynomial_connection(3, 3, 0.5, 2)
-    tables = ("_exps", "_lowered_exps", "_shift_exps", "_shift_binom")
-    for name in tables:
+    for name in ("_exps", "_lowered", "_raised"):
         assert getattr(a, name) is getattr(b, name)
         with pytest.raises(ValueError):
             getattr(a, name)[(0,) * getattr(a, name).ndim] = 7
     assert not np.array_equal(a.coefficients, b.coefficients)
+
+
+@pytest.mark.parametrize("d, accepted", [(3, 19), (14, 3)])
+def test_polynomial_degree_bound_boundary(d, accepted):
+    # the largest degree from_config accepts and the smallest it refuses
+    cfg = {"kind": "polynomial", "dimension": d}
+    assert from_config(dict(cfg, degree=accepted)).max_poly_degree == accepted
+    with pytest.raises(ValueError, match=f"degree {accepted + 1} is too high"):
+        from_config(dict(cfg, degree=accepted + 1))
 
 
 def _reference_pattern(x: np.ndarray) -> np.ndarray:
