@@ -4,9 +4,9 @@ Transport the curvature tensor at the geodesic point back to the base and
 sandwich it with the (transported) velocity: the result, as a function of the
 ray parameter t, has n-th derivative n(n-1) times the order-(n-2)
 curvature-derivative operator at the base point.  The left side is measured
-with 9-point central stencils plus Richardson extrapolation over integrated
-transports; the right side comes from the exact polynomial jets.  Orders 0
-and 1 vanish identically.
+with one exact weight vector per order over 13 integrated transports (the
+Richardson combination of two 9-point central stencils); the right side comes
+from the exact polynomial jets.  Orders 0 and 1 vanish identically.
 """
 
 import numpy as np

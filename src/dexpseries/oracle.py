@@ -17,8 +17,9 @@ The transported differential of the exponential map is read off from Jacobi
 fields with J(0) = 0, (DJ/dt)(0) = w: its value on w is the frame-inverse of
 J(1).  This Jacobi route (dexp_oracle) is the one independent check of the
 two series routes in evaluate.  The transported curvature operator and its
-t-derivatives at 0 (high-order central stencils plus Richardson extrapolation)
-check the curvature operators themselves against the dense tower (Lemma 2).
+t-derivatives at 0 (each order one exact weight vector over 13 samples, with the
+rounding floor of the result) check the curvature operators themselves against
+the dense tower (Lemma 2).
 
 The geodesic, transport and Jacobi entry points take one velocity (d,) or a
 batch (B, d); a batch gives a list of LinearOperators.  RK4 advances all B
@@ -51,6 +52,7 @@ from .geometry import ManifoldModel, curvature_jet, jacobi_operator
 from .tensors import LinearOperator
 
 BLOCK_STEPS = 64  # coarse RK4 steps per streamed block of the trajectory
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -234,7 +236,7 @@ def transported_curvature(model: ManifoldModel, p, v, steps: int):
 
 
 # ----------------------------------------------------------------------------
-# t-derivatives of the transported curvature (finite differences + Richardson)
+# t-derivatives of the transported curvature (one weight vector per order)
 # ----------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -271,6 +273,7 @@ class DerivativeCheck:
     lhs: LinearOperator
     rhs: LinearOperator
     distance: float
+    floor: float  # rounding floor of the distance
 
     def to_json(self) -> dict:
         return {
@@ -278,34 +281,21 @@ class DerivativeCheck:
             "lhs": self.lhs.to_json(),
             "rhs": self.rhs.to_json(),
             "distance": self.distance,
+            "floor": self.floor,
         }
 
 
-def _transported_curvature_samples(model, p, v, h: float, steps: int) -> dict[int, np.ndarray]:
-    """Samples of t -> transported_curvature(t v) at t = k h/2 for the stencils."""
-    ts = 0.5 * h * np.array(STENCIL_SAMPLE_KEYS, dtype=float)
-    ops = transported_curvature(model, p, ts[:, None] * np.asarray(v, dtype=float), steps)
-    return {k: op.matrix for k, op in zip(STENCIL_SAMPLE_KEYS, ops)}
-
-
-def _fd_derivative(samples, h: float, order: int, d: int) -> np.ndarray:
-    """Richardson-extrapolated stencil derivative at t = 0 from the sample table."""
-    if order == 0:
-        return samples[0]
-    weights = fd_weights(STENCIL_OFFSETS, order)
-    # the weights match Taylor moments 0..8 and are even or odd with the order, so
-    # the first unmatched moment is 9 for odd and 10 for even orders: error O(h^q)
-    q = len(STENCIL_OFFSETS) + (order % 2 == 0) - order
-
-    def stencil(spacing_key, spacing):
-        acc = np.zeros((d, d))
-        for w, s in zip(weights, STENCIL_OFFSETS):
-            acc += float(w) * samples[s * spacing_key]
-        return acc / spacing**order
-
-    coarse = stencil(2, h)
-    fine = stencil(1, 0.5 * h)
-    return (2.0**q * fine - coarse) / (2.0**q - 1.0)
+@lru_cache(maxsize=None)
+def stencil_weights(order: int) -> tuple[Fraction, ...]:
+    """Exact weights W over STENCIL_SAMPLE_KEYS with sum_k W_k f(k h/2) = h^order f^(order)(0)
+    + O(h^(m+2-order)): the Richardson combination (2^q fine - coarse) / (2^q - 1), q = m - order,
+    of the nine-point stencils on spacing h (keys 2s) and h/2 (keys s).  Each matches the Taylor
+    moments 0..8 and is even or odd with the order, so its first unmatched moment m is 9 (odd)
+    or 10 (even orders), which W cancels.  Order 0 is one-hot at key 0."""
+    stencil = dict(zip(STENCIL_OFFSETS, fd_weights(STENCIL_OFFSETS, order)))
+    m = len(STENCIL_OFFSETS) + (order % 2 == 0)
+    return tuple((2**m * stencil.get(k, 0) - stencil.get(k / 2, 0)) / (2 ** (m - order) - 1)
+                 for k in STENCIL_SAMPLE_KEYS)
 
 
 def curvature_derivative_table(model: ManifoldModel, p, v, orders, steps: int = 600,
@@ -315,6 +305,9 @@ def curvature_derivative_table(model: ManifoldModel, p, v, orders, steps: int = 
     The step is fd_step / |v| so the stencil reach in the tangent space is
     independent of the vector's length.  Orders 0 and 1 have an exactly zero
     prediction; order n >= 2 is checked against n(n-1) * jacobi_operator(n-2).
+    The floor eps (sqrt(steps) sum_k |W_k| |sample_k| / h^n + |rhs|) bounds the
+    distance that rounding alone leaves: each RK4 sample carries about
+    eps sqrt(steps) relative rounding.
     """
     orders = sorted(set(int(n) for n in orders))
     if orders and not 0 <= orders[0] <= orders[-1] <= 4:
@@ -323,16 +316,19 @@ def curvature_derivative_table(model: ManifoldModel, p, v, orders, steps: int = 
     v = np.asarray(v, dtype=float)
     d = model.dimension
     h = fd_step / max(float(np.linalg.norm(v)), 1e-12)
-    samples = _transported_curvature_samples(model, p, v, h, steps)
+    ts = 0.5 * h * np.array(STENCIL_SAMPLE_KEYS, dtype=float)
+    samples = np.array([r.matrix for r in transported_curvature(model, p, np.outer(ts, v), steps)])
+    sample_norms = np.linalg.norm(samples, axis=(1, 2))
     max_rhs = max((n - 2 for n in orders if n >= 2), default=-1)
     jet = curvature_jet(model, p, max_rhs) if max_rhs >= 0 else None
 
     out = {}
     for n in orders:
-        lhs = LinearOperator(_fd_derivative(samples, h, n, d))
-        if n >= 2:
-            rhs = n * (n - 1) * jacobi_operator(jet, v, n - 2)
-        else:
-            rhs = LinearOperator.zero(d)
-        out[n] = DerivativeCheck(n, lhs, rhs, float(np.linalg.norm(lhs.matrix - rhs.matrix)))
+        weights = np.array(stencil_weights(n), dtype=float)
+        lhs = LinearOperator(np.tensordot(weights, samples, 1) / h**n)
+        rhs = n * (n - 1) * jacobi_operator(jet, v, n - 2) if n >= 2 else LinearOperator.zero(d)
+        floor = EPS * (math.sqrt(steps) * (np.abs(weights) @ sample_norms) / h**n
+                       + np.linalg.norm(rhs.matrix))
+        out[n] = DerivativeCheck(n, lhs, rhs, float(np.linalg.norm(lhs.matrix - rhs.matrix)),
+                                 float(floor))
     return out

@@ -95,12 +95,6 @@ class LinearOperator:
             raise ValueError(f"vector shape {w.shape} does not match dimension {self.dimension}")
         return self.matrix @ w
 
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        """Matrix product self * other (apply other first)."""
-        if self.dimension != other.dimension:
-            raise ValueError(f"operator dimensions differ: {self.dimension} vs {other.dimension}")
-        return LinearOperator(self.matrix @ other.matrix)
-
     def __mul__(self, scalar: float) -> "LinearOperator":
         return LinearOperator(self.matrix * float(scalar))
 

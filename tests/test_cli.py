@@ -190,6 +190,78 @@ def test_lemma2_requires_order(tmp_path):
     assert main(["lemma2", "--config", write_config(tmp_path, POLY_CONFIG), "--n", "7"]) == 2
 
 
+# sphere of radius 0.5, vector [x, 0.5]: the stencil's rounding floor grows as
+# |v|^n, so from x = 1e3 on an order-4 distance, and from x = 1e6 on an order-2
+# one, is below what double precision resolves at the default tolerance 1e-5
+@pytest.mark.parametrize("x, n, code", [(0.2, 2, 0), (0.2, 4, 0), (1e3, 2, 0), (1e3, 4, 2),
+                                        (1e6, 2, 2), (1e20, 2, 2)])
+def test_lemma2_below_its_rounding_floor_is_unresolved(tmp_path, capsys, x, n, code):
+    cfg = {"manifold": {"kind": "sphere", "dimension": 2, "radius": 0.5},
+           "point": [0.0, 0.0], "vector": [x, 0.5], "steps": 100}
+    out = tmp_path / "lemma2.json"
+    capsys.readouterr()
+    assert main(["lemma2", "--config", write_config(tmp_path, cfg), "--n", str(n),
+                 "--out", str(out)]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    if code == 2:
+        assert len(errors) == 1 and "cannot resolve" in errors[0], errors
+        assert not out.exists()
+    else:
+        blob = json.loads(out.read_text())
+        assert not errors and 0.0 < blob["floor"] <= blob["tolerance"]
+        assert blob["distance"] <= blob["tolerance"]
+
+
+def test_lemma2_perturbed_prediction_still_fails(tmp_path, monkeypatch):
+    # at |v| = 0.2 the floor is far below the tolerance, so a prediction off by
+    # one part in 1e3 is a FAIL, not an unresolved check
+    import dexpseries.oracle
+
+    cfg = {"manifold": {"kind": "sphere", "dimension": 2, "radius": 0.5},
+           "point": [0.0, 0.0], "vector": [0.12, 0.16], "steps": 100}
+    argv = ["lemma2", "--config", write_config(tmp_path, cfg), "--n", "2"]
+    assert main(argv) == 0
+    exact = dexpseries.oracle.jacobi_operator
+    monkeypatch.setattr(dexpseries.oracle, "jacobi_operator",
+                        lambda *args: (1 + 1e-3) * exact(*args))
+    assert main(argv) == 1
+
+
+# the rows left out sit at the rounding floor; fitted too, they pull the slope
+# under N + 0.5 (to 5.53 and 4.23)
+@pytest.mark.parametrize("cfg, slope, fitted", [
+    (dict(POLY_CONFIG, max_degree=6, steps=300), 6.98, [False, False, True, True, True]),
+    ({"manifold": {"kind": "hyperbolic", "dimension": 2}, "point": [0.0, 0.0],
+      "vector": [0.2, 0.15], "max_degree": 6, "steps": 300}, 8.00,
+     [False, False, False, True, True]),
+], ids=["polynomial", "hyperbolic"])
+def test_convergence_fits_only_rows_above_their_floor(tmp_path, cfg, slope, fitted):
+    out = tmp_path / "conv.json"
+    assert main(["convergence", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert [row["fitted"] for row in blob["rows"]] == fitted
+    assert all(row["floor"] > 0.0 for row in blob["rows"])
+    assert blob["slope"] == pytest.approx(slope, abs=0.01)
+
+
+def test_convergence_perturbed_operator_still_fails(tmp_path, monkeypatch):
+    # r_3 off by one part in 1e3 leaves a degree-5 remainder: slope 6.24 < 6.5
+    import dexpseries.cli
+
+    cfg = dict(POLY_CONFIG, vector=[0.3, -0.25, 0.2], max_degree=6, steps=300)
+    argv = ["convergence", "--config", write_config(tmp_path, cfg)]
+    assert main(argv) == 0
+    exact = dexpseries.cli.curvature_operators
+
+    def perturbed(*args):
+        ops = exact(*args).copy()
+        ops[3] *= 1 + 1e-3
+        return ops
+
+    monkeypatch.setattr(dexpseries.cli, "curvature_operators", perturbed)
+    assert main(argv) == 1
+
+
 def test_seed_override_changes_result(tmp_path):
     path = write_config(tmp_path, POLY_CONFIG)
     out_a = tmp_path / "a.json"
@@ -274,7 +346,7 @@ ARTIFACT_FIELDS = {
     "eval": ["max_degree", "closed_form", "recurrence", "distance", "tolerance"],
     "verify": ["max_degree", "steps", "series", "oracle", "distance", "tolerance"],
     "convergence": ["max_degree", "rows", "slope", "degenerate"],
-    "lemma2": ["order", "lhs", "rhs", "distance", "tolerance"],
+    "lemma2": ["order", "lhs", "rhs", "distance", "floor", "tolerance"],
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from dexpseries.geometry import ChartDomainError, curvature_jet, jacobi_operator
 from dexpseries.manifolds import flat, hyperbolic, polynomial_connection, sphere
 from dexpseries.oracle import (
     BLOCK_STEPS,
+    STENCIL_OFFSETS,
+    STENCIL_SAMPLE_KEYS,
     curvature_derivative_table,
     dexp_oracle,
     fd_weights,
     integrate_geodesic,
     jacobi_matrix,
+    stencil_weights,
     transport_frame,
     transported_curvature,
 )
@@ -233,6 +237,58 @@ def test_fd_weights_reproduce_derivatives_of_monomials():
             moment = sum(wi * s**m for wi, s in zip(w, offsets))
             expect = math.factorial(order) if m == order else 0
             assert moment == expect
+
+
+@pytest.mark.parametrize("order", range(5))
+def test_stencil_weights_match_taylor_moments_exactly(order):
+    # sum_k W_k (k/2)^j = order! [j == order] for every j below the first unmatched
+    # moment, 11 for odd and 12 for even orders; order 0 is exactly one-hot
+    weights = stencil_weights(order)
+    assert all(isinstance(w, Fraction) for w in weights)
+    if order == 0:
+        assert weights == tuple(Fraction(k == 0) for k in STENCIL_SAMPLE_KEYS)
+        return
+    first_unmatched = 11 if order % 2 else 12
+    for j in range(first_unmatched + 1):
+        moment = sum(w * Fraction(k, 2) ** j for w, k in zip(weights, STENCIL_SAMPLE_KEYS))
+        if j < first_unmatched:
+            assert moment == (math.factorial(order) if j == order else 0), j
+        else:
+            assert moment != 0
+
+
+def _two_stencil_derivative(samples: dict, h: float, order: int) -> np.ndarray:
+    """Reference: the nine-point stencils on spacing h and h/2, each summed in
+    floating point, then their Richardson extrapolation with the error order q."""
+    if order == 0:
+        return samples[0]
+    weights = fd_weights(STENCIL_OFFSETS, order)
+    q = len(STENCIL_OFFSETS) + (order % 2 == 0) - order
+
+    def stencil(spacing_key, spacing):
+        acc = np.zeros_like(samples[0])
+        for w, s in zip(weights, STENCIL_OFFSETS):
+            acc += float(w) * samples[s * spacing_key]
+        return acc / spacing**order
+
+    return (2.0**q * stencil(1, 0.5 * h) - stencil(2, h)) / (2.0**q - 1.0)
+
+
+@pytest.mark.parametrize("model, p, v", [
+    (polynomial_connection(3, 3, 0.5, 42), np.zeros(3), np.array([0.15, -0.12, 0.1])),
+    (sphere(2, 0.5), np.array([0.1, -0.05]), np.array([0.2, 0.5])),
+], ids=["polynomial", "sphere"])
+def test_one_weight_vector_matches_the_two_stencil_reference(model, p, v):
+    steps, fd_step = 150, 1e-2
+    table = curvature_derivative_table(model, p, v, range(5), steps=steps, fd_step=fd_step)
+    h = fd_step / np.linalg.norm(v)
+    ts = 0.5 * h * np.array(STENCIL_SAMPLE_KEYS, dtype=float)
+    ops = transported_curvature(model, p, ts[:, None] * v, steps)
+    samples = {k: op.matrix for k, op in zip(STENCIL_SAMPLE_KEYS, ops)}
+    assert np.array_equal(table[0].lhs.matrix, _two_stencil_derivative(samples, h, 0))
+    for n in range(1, 5):
+        gap = np.linalg.norm(table[n].lhs.matrix - _two_stencil_derivative(samples, h, n))
+        assert gap <= table[n].floor, (n, gap, table[n].floor)
 
 
 def test_curvature_derivative_low_orders_zero():
