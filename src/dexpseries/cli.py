@@ -214,11 +214,11 @@ def _oracle_budget(cfg, batch: int):
 
 def _series(cfg, route):
     """route(ops) on the Taylor-route operators r_n(v), each stage in the double range."""
-    model, order = cfg["model"], max(0, cfg["max_degree"] - 2)
-    d = model.dimension
-    # christoffel_jet(p, K+1), d^3 doubles per monomial
-    _within_budget(math.comb(d + order + 1, d) * d**3 * 8,
-                   f"Christoffel jet for max_degree {cfg['max_degree']} in dimension {d}")
+    model, n = cfg["model"], cfg["max_degree"]
+    d, order = model.dimension, max(0, n - 2)
+    # the series of d Gamma along the geodesic, d^4 doubles per order 0..K
+    _within_budget((order + 1) * d**4 * 8,
+                   f"Christoffel partials series for max_degree {n} in dimension {d}")
     with _double_range("curvature operators r_n(v)"):
         ops = curvature_operators(model, cfg["point"], cfg["vector"], order)
         if not np.all(np.isfinite(ops)):  # einsum raises no floating-point errors

@@ -46,11 +46,12 @@ class ManifoldModel:
 
     A model supplies christoffel(x), Gamma[..., k, i, j] = Gamma^k_ij at chart
     points x of shape (..., d); christoffel_partials(x), the closed-form
-    [..., a, k, i, j] = d_a Gamma^k_ij; and christoffel_jet(x, order), the
-    Taylor polynomial of Gamma about one point x as a PolyTensor of shape
-    (d, d, d) with data[m, k, i, j] = Taylor coefficient of Gamma^k_ij.  The
-    ODE oracle uses only the first two, the Taylor route and the dense tower
-    only the jet.  Symmetry in (i, j) is the torsion-free requirement;
+    [..., a, k, i, j] = d_a Gamma^k_ij; christoffel_series(xs) and
+    christoffel_partials_series(xs), both as (n, ...) series in t along a curve
+    with Taylor coefficients xs, a float array (n, d); and christoffel_jet(x, order), the
+    Taylor polynomial of Gamma about x as a PolyTensor of shape (d, d, d).  The
+    ODE oracle uses only the first two, the Taylor route only the series, and
+    the dense tower only the jet.  Symmetry in (i, j) is the torsion-free requirement;
     symmetry of the jets under permutation of the derivative multi-index is
     automatic in the Taylor-coefficient encoding.
     """

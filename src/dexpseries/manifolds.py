@@ -3,21 +3,23 @@ spheres and hyperbolic space (sigma = 0, +1, -1), and seeded random
 polynomial connections.
 
 Every model supplies Christoffel symbols and their first partials in closed
-form on batches of chart points, and exact Christoffel jets: A(V) for the
-conformal family's one vector field V = w x (only the scalar w takes the
-Taylor division rule), or Taylor's theorem along x (polynomials).  No finite
-differencing and no multivariate polynomial product enters the curvature pipeline.
+form on batches of chart points (for the oracle), as series along a curve (the
+Taylor route) and as exact jets (the dense tower): A(V) for the conformal
+family's one vector field V = w x (only w takes the Taylor division rule), or
+Taylor's theorem along x (polynomials).  No finite differencing and no
+multivariate polynomial product enters the curvature pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .geometry import ManifoldModel
 from .polyjet import PolyTensor, lowering_table, monomial_count, monomial_exponents
+from .taylor import _cauchy, _divide
 
 MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial monomial count
 MAX_SCALE = np.finfo(float).max / 2  # uniform(-scale, scale) needs 2 scale in the double range
@@ -50,6 +52,8 @@ class _ConformalModel(ManifoldModel):
         w[e] = -(2 sigma sum_a x_a w[e - 1_a] + sigma sum_a w[e - 2_a]) / u(x),
     absent monomials counting zero, solved one total degree at a time.  The
     jet is exact to the truncation order; its row 0 is christoffel(x) exactly.
+    Along a curve x(t), w = -2 sigma / u(x(t)) by that rule in t, Gamma = A(w x)
+    and d_a Gamma = A(w^2 x_a x + w e_a).
     """
 
     min_dimension = 2
@@ -87,6 +91,19 @@ class _ConformalModel(ManifoldModel):
         dw = 4.0 * self._sigma**2 * x[..., :, None] / (u * u)
         w = -2.0 * self._sigma / u
         return self._pattern(dw * x[..., None, :] + w * np.eye(self.dimension))
+
+    def _wx_series(self, xs):  # w and V = w x along a curve with coefficients xs (n, d)
+        u = self._sigma * _cauchy("a,a->", xs, xs)
+        u[0] += self._c0
+        w = _divide(-2.0 * self._sigma, u)
+        return w, _cauchy(",a->a", w, xs)
+
+    def christoffel_series(self, xs) -> np.ndarray:
+        return self._pattern(self._wx_series(xs)[1])
+
+    def christoffel_partials_series(self, xs) -> np.ndarray:
+        w, wx = self._wx_series(xs)  # d_a w x = w^2 x_a x
+        return self._pattern(_cauchy("a,c->ac", wx, wx) + w[:, None, None] * np.eye(self.dimension))
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
@@ -171,6 +188,7 @@ class PolynomialConnection(ManifoldModel):
     partials gather x^(e - 1_a) by the lowered rows.  The jet is Taylor's
     theorem along x, Gamma(x + xi) = sum_{j <= D} (x . grad)^j Gamma(xi) / j!,
     where (x . grad) P has row m = sum_a x_a (e_m + 1_a)_a P[e_m + 1_a].
+    Along a curve x(t) monomial series replace the monomial values.
     """
 
     name = "polynomial"
@@ -205,16 +223,33 @@ class PolynomialConnection(ManifoldModel):
         powers = x[..., :, None] ** np.arange(self.max_poly_degree + 1)
         return np.multiply.reduce(powers[..., np.arange(self.dimension), self._exps], axis=-1)
 
+    def _monomial_series(self, xs) -> np.ndarray:
+        """[t^k] x(t)^e for every exponent row e, (n, M), from the series xs (n, d)."""
+        powers = np.zeros((len(xs), self.max_poly_degree + 1, self.dimension))  # x_a(t)^k
+        powers[0, 0] = 1.0
+        for k in range(1, self.max_poly_degree + 1):
+            powers[:, k] = _cauchy("a,a->a", powers[:, k - 1], xs)
+        factors = powers[:, self._exps, np.arange(self.dimension)]  # x_a(t)^(e_a), (n, M, d)
+        return reduce(lambda mono, f: _cauchy("m,m->m", mono, f), factors.transpose(2, 0, 1))
+
+    def _gamma(self, mono: np.ndarray) -> np.ndarray:  # from the monomial values x^e (..., M)
+        return np.einsum("...s,skij->...kij", mono, self.coefficients)
+
+    def _partials(self, mono: np.ndarray) -> np.ndarray:  # d_a x^e = e_a x^(e - 1_a)
+        weights = self._exps.T * mono[..., self._lowered]
+        return np.einsum("...as,skij->...akij", weights, self.coefficients)
+
     def christoffel(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        weights = self._monomials(x)
-        return np.einsum("...s,skij->...kij", weights, self.coefficients)
+        return self._gamma(self._monomials(np.asarray(x, dtype=float)))
 
     def christoffel_partials(self, x) -> np.ndarray:
-        # d_a x^e = e_a x^(e - 1_a): the lowered monomial times the old exponent
-        x = np.asarray(x, dtype=float)
-        weights = self._exps.T * self._monomials(x)[..., self._lowered]
-        return np.einsum("...as,skij->...akij", weights, self.coefficients)
+        return self._partials(self._monomials(np.asarray(x, dtype=float)))
+
+    def christoffel_series(self, xs) -> np.ndarray:
+        return self._gamma(self._monomial_series(xs))
+
+    def christoffel_partials_series(self, xs) -> np.ndarray:
+        return self._partials(self._monomial_series(xs))
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)

@@ -16,8 +16,8 @@ degree-1 rows are its first partial derivatives.
 Every lookup of a neighbouring monomial goes through one mixed-radix key
 search (_radix_lookup), cached as two read-only tables: product_table (the
 row of e + e') and lowering_table (the row of e - 1_a).  The lowering table
-serves derivatives, the Taylor route's monomial recursion and the conformal
-Christoffel jets.
+serves derivatives and the conformal Christoffel jets.  Only the dense tower
+uses this module: the Taylor route (taylor.py) builds no PolyTensor.
 
 Products (contract) convolve monomial indices through the product table,
 and the tensor slots of the two factors combine through a caller-supplied

@@ -10,11 +10,11 @@ Every quantity along the curve is a truncated univariate Taylor series in t,
 stored as an array whose leading axis is the power of t:
 
 * the geodesic coefficients, solved order by order from x'' = -Gamma(x)(x', x');
-* Gamma and its first partials along the curve, by composing the model's
-  christoffel_jet(p, K+1) with x(t) - p, one coefficient per step.  Each
-  monomial's series is its parent's times one variable, the parent read from
-  polyjet's lowering table; the partials reuse the jet rows through the same
-  table, so the jet is the one large array;
+* Gamma and its first partials along the curve, from the model's
+  christoffel_series and christoffel_partials_series, written with _cauchy
+  and the division rule _divide.  Gamma through order k + 1 needs x through
+  order k + 1 and gives x[k + 2] and x[k + 3], so one Gamma call serves two
+  orders; d Gamma is taken once, at the end;
 * the frame F (F' = A F with A = -Gamma(x)(x', .)) and its inverse
   (H' = -H A);
 * T = H M F with M = R(x', .) x', read off as r_n = n! [t^n] T.
@@ -27,11 +27,20 @@ tensor or a multivariate polynomial product.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .geometry import ManifoldModel
-from .polyjet import _diff_table, lowering_table, monomial_exponents
+
+
+@lru_cache(maxsize=None)
+def _lags(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n, n) gather index max(k - j, 0) and mask k >= j of a Cauchy product."""
+    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
+    index, mask = np.maximum(lag, 0), lag >= 0
+    index.flags.writeable = mask.flags.writeable = False
+    return index, mask
 
 
 def _cauchy(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -41,12 +50,20 @@ def _cauchy(subscripts: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     result has the shorter of the two lengths.
     """
     n = min(len(a), len(b))
-    lag = np.arange(n)[:, None] - np.arange(n)[None, :]
-    mask = (lag >= 0).reshape((n, n) + (1,) * (b.ndim - 1))
-    shifted = np.where(mask, b[np.maximum(lag, 0)], 0.0)  # shifted[k, j] = b[k - j]
+    index, mask = _lags(n)
+    shifted = np.where(mask.reshape(mask.shape + (1,) * (b.ndim - 1)), b[index], 0.0)
     lhs, out = subscripts.split("->")
     sa, sb = lhs.split(",")
-    return np.einsum(f"J{sa},KJ{sb}->K{out}", a[:n], shifted)
+    return np.einsum(f"J{sa},KJ{sb}->K{out}", a[:n], shifted)  # shifted[k, j] = b[k - j]
+
+
+def _divide(c: float, u: np.ndarray) -> np.ndarray:
+    """The series q = c / u for a constant c and a scalar series u, u[0] != 0, from u q = c."""
+    q = np.empty_like(u)
+    q[0] = c / u[0]
+    for k in range(1, len(u)):
+        q[k] = -np.dot(u[1:k + 1], q[k - 1::-1]) / u[0]
+    return q
 
 
 def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.ndarray]:
@@ -65,38 +82,19 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
     model.require_in_domain(p)
     K = max_order
 
-    gamma = model.christoffel_jet(p, K + 1)  # rows: monomials in xi = x - p
-    # each monomial of positive degree is parent * xi_var, var its first nonzero exponent
-    variables = np.argmax(monomial_exponents(d, K + 1)[1:] > 0, axis=1)
-    parents = lowering_table(d, K + 1)[variables, np.arange(1, len(gamma.data))]
-
-    xi = np.zeros((K + 2, d))          # x(t) - p
-    xi[1] = v
-    mono = np.zeros((len(gamma.data), K + 1))  # mono[m, k] = [t^k] xi^(exponent m)
-    mono[0, 0] = 1.0
-    g = np.zeros((K + 1, d, d, d))     # Gamma(x(t)), layout [k, l, i, j]
-    vel = np.zeros((K + 1, d))         # x'(t)
-    vv = np.zeros((K + 1, d, d))       # x'(t) (x) x'(t)
-    for k in range(K + 1):
-        if k >= 1:
-            # [t^k] parent * xi_var; xi has no constant term, so only columns
-            # below k of the parents enter
-            mono[1:, k] = np.einsum("jh,hj->h", xi[1:k + 1, variables],
-                                    mono[parents, k - 1::-1])
-        g[k] = np.tensordot(mono[:, k], gamma.data, axes=1)
-        vel[k] = (k + 1) * xi[k + 1]
-        vv[k] = np.einsum("ja,jb->ab", vel[:k + 1], vel[k::-1])
-        if k + 2 <= K + 1:
-            acc = np.einsum("ilab,iab->l", g[:k + 1], vv[k::-1])  # [t^k] Gamma(x', x')
-            xi[k + 2] = -acc / ((k + 2) * (k + 1))
-
-    # d_a Gamma from the jet rows, no jet of partials: [t^k] d_a xi^e = e_a [t^k] xi^(e-1_a)
-    dg = np.empty((K + 1, d, d, d, d))  # [k, a, l, j, k']
-    for a in range(d):
-        src, dst, fac = _diff_table(d, K + 1, a)
-        weights = np.zeros_like(mono)
-        weights[src] = fac[:, None] * mono[dst]
-        dg[:, a] = np.tensordot(weights, gamma.data, axes=(0, 0))
+    xs = np.zeros((K + 2, d))  # x(t)
+    xs[0], xs[1] = p, v
+    vel = np.zeros((K + 1, d))  # x'(t)
+    vv = np.zeros((K + 1, d, d))  # x'(t) (x) x'(t)
+    for k in range(0, K + 1, 2):
+        g = model.christoffel_series(xs[:min(k + 2, K + 1)])  # Gamma(x(t)) to order min(k + 1, K)
+        for j in range(k, min(k + 2, K + 1)):
+            vel[j] = (j + 1) * xs[j + 1]
+            vv[j] = np.einsum("ja,jb->ab", vel[:j + 1], vel[j::-1])
+            if j + 2 <= K + 1:
+                acc = np.einsum("ilab,iab->l", g[:j + 1], vv[j::-1])  # [t^j] Gamma(x', x')
+                xs[j + 2] = -acc / ((j + 2) * (j + 1))
+    dg = model.christoffel_partials_series(xs[:K + 1])  # [k, a, l, j, k']
     gv = _cauchy("lim,i->lm", g, vel)  # Gamma(x', .) = -A
     # M[l, j] = R[l, i, j, k] x'^i x'^k with
     # R[l,i,j,k] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik

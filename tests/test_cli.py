@@ -337,7 +337,7 @@ README_CONFIG = {
     "manifold": {"kind": "polynomial", "dimension": 3, "degree": 3, "scale": 0.5, "seed": 42},
     "point": [0.0, 0.0, 0.0],
     "vector": [0.12, -0.10, 0.08],
-    "max_degree": 10,
+    "max_degree": 6,
     "steps": 2000,
 }
 
@@ -518,11 +518,28 @@ def test_polynomial_degree_over_bound_is_invalid(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "verify", "convergence"])
-def test_christoffel_jet_over_budget_is_invalid(tmp_path, capsys, command):
-    # d = 10, max_degree 12: C(21, 10) * 10^3 doubles, about 2.8 GB of Christoffel jet
-    cfg = {"manifold": {"kind": "flat", "dimension": 10}, "point": [0.0] * 10,
-           "vector": [0.01] * 10, "max_degree": 12, "steps": 200}
-    assert_invalid([command, "--config", write_config(tmp_path, cfg)], capsys)
+def test_christoffel_jet_over_budget_is_invalid(tmp_path, capsys, monkeypatch, command):
+    # d = 50, max_degree 12: the d Gamma series holds 11 * 50^4 doubles, 0.5 GiB, the
+    # Taylor route's largest array; verify and convergence refuse their oracle first
+    monkeypatch.setattr("dexpseries.cli.curvature_operators", _never_called)
+    monkeypatch.setattr("dexpseries.cli.dexp_oracle", _never_called)
+    cfg = {"manifold": {"kind": "flat", "dimension": 50}, "point": [0.0] * 50,
+           "vector": [0.01] * 50, "max_degree": 12, "steps": 200}
+    line = assert_invalid([command, "--config", write_config(tmp_path, cfg)], capsys)
+    stage = "Christoffel partials series" if command == "eval" else "ODE oracle node store"
+    assert line.startswith("error: " + stage), line
+
+
+@pytest.mark.parametrize("dimension", [10, 20])
+def test_sphere_eval_runs_past_dimension_eight(tmp_path, capsys, dimension):
+    # the Christoffel jet of these inputs needed 2.6 GiB (d = 10) and 5047 GiB (d = 20);
+    # the Taylor route holds 11 d^4 doubles of d Gamma series
+    cfg = {"manifold": {"kind": "sphere", "dimension": dimension}, "point": [0.0] * dimension,
+           "vector": [0.3 / math.sqrt(dimension)] * dimension, "max_degree": 12}
+    out = tmp_path / "eval.json"
+    assert main(["eval", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    assert blob["pass"] is True and blob["distance"] <= blob["tolerance"]
 
 
 @pytest.mark.parametrize("command, extra", [("lemma2", ["--n", "2"]), ("convergence", [])])

@@ -34,6 +34,24 @@ ZOO = [
 
 
 @pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")
+def test_series_along_a_curve_sum_to_the_closed_form(model):
+    # Gamma and d Gamma along x(t) = x0 + x1 t + x2 t^2, summed through t^9 at
+    # t = 0.05, agree with the closed form at x(t) up to the truncation term
+    rng = np.random.default_rng(4)
+    xs = np.zeros((10, model.dimension))
+    xs[:3] = rng.uniform(-0.3, 0.3, size=(3, model.dimension))
+    t = 0.05
+    x = xs[0] + xs[1] * t + xs[2] * t * t
+    for series, direct in ((model.christoffel_series, model.christoffel),
+                           (model.christoffel_partials_series, model.christoffel_partials)):
+        coeffs = series(xs)
+        assert coeffs.shape == (10,) + direct(x).shape
+        assert np.max(np.abs(coeffs[0] - direct(xs[0]))) <= 1e-15
+        summed = np.tensordot(t ** np.arange(10), coeffs, axes=1)
+        assert np.max(np.abs(summed - direct(x))) <= 1e-12
+
+
+@pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")
 def test_torsion_free_symmetry_exact(model):
     rng = np.random.default_rng(1)
     for p in seeded_points(model, 6, rng):
@@ -105,6 +123,9 @@ def test_flat_quantities_are_positive_zeros(d, sign):
         assert _positive_zeros(jet.data, (monomial_count(d, order),) + (d,) * 3)
     metric = model.metric(x)
     assert np.array_equal(metric, np.eye(d)) and not np.any(np.signbit(metric))
+    xs = sign * rng.uniform(0.1, 0.9, size=(5, d))
+    assert _positive_zeros(model.christoffel_series(xs), (5,) + (d,) * 3)
+    assert _positive_zeros(model.christoffel_partials_series(xs), (5,) + (d,) * 4)
 
 
 def test_sphere_conformal_factor_and_metric():

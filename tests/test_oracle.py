@@ -335,7 +335,7 @@ def _oracle_outputs(m, p, v):
 
 def test_oracle_avoids_dense_machinery(monkeypatch):
     # the oracle runs on closed-form Gamma and d Gamma alone: it reaches
-    # neither christoffel_jet nor the dense tower it checks
+    # neither christoffel_jet, the Taylor route's series nor the dense tower it checks
     cases = [(flat(3), np.zeros(3), np.array([0.2, -0.1, 0.15])),
              (polynomial_connection(3, 3, 0.5, 42), np.array([0.05, 0.0, -0.1]),
               np.array([0.2, -0.1, 0.15])),
@@ -348,13 +348,14 @@ def test_oracle_avoids_dense_machinery(monkeypatch):
 
     for module in (dexpseries.polyjet, dexpseries.geometry, dexpseries.manifolds,
                    dexpseries.taylor):
-        for name in ("contract", "lowering_table", "_diff_table"):
+        for name in ("contract", "lowering_table", "_diff_table", "_cauchy", "_divide"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     monkeypatch.setattr(dexpseries.geometry, "covariant_derivative", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "curvature_polynomial", forbidden)
     for m, _, _ in cases:
-        monkeypatch.setattr(type(m), "christoffel_jet", forbidden)
+        for name in ("christoffel_jet", "christoffel_series", "christoffel_partials_series"):
+            monkeypatch.setattr(type(m), name, forbidden)
     for case, want in zip(cases, expected):
         for got, ref in zip(_oracle_outputs(*case), want):
             assert np.array_equal(got, ref)
