@@ -41,6 +41,7 @@ from .evaluate import closed_form_components, evaluate_closed_form, evaluate_rec
 from .geometry import ChartDomainError
 from .oracle import (BLOCK_STEPS, EPS, STENCIL_SAMPLE_KEYS, curvature_derivative_table,
                      dexp_oracle)
+from .polyjet import CHUNK_BYTES
 from .taylor import curvature_operators
 from .tensors import operator_distance
 
@@ -199,7 +200,7 @@ def _double_range(stage: str):
 def _within_budget(nbytes: int, what: str):
     """Refuse the input before an array of nbytes is allocated past MAX_ARRAY_BYTES."""
     if nbytes > MAX_ARRAY_BYTES:
-        raise InvalidInput(f"{what} needs {nbytes / 2**30:.1f} GiB "
+        raise InvalidInput(f"{what} needs {nbytes / 2**30:.2f} GiB "
                            f"(limit {MAX_ARRAY_BYTES / 2**30:g} GiB)")
 
 
@@ -292,8 +293,12 @@ def cmd_lemma2(cfg: dict) -> tuple[dict, bool, str]:
     geodesics = len(STENCIL_SAMPLE_KEYS)
     _within_budget(geodesics * ((2 * block + 1) * (d**3 + 2 * d**2) + d**4) * 8,
                    f"stencil node store ({geodesics} x {block}-step block in dimension {d})")
-    if order >= 2:  # the Christoffel jet of degree n - 1 and nabla^(n-2) R, d^(n+2) entries
-        _within_budget((math.comb(d + order - 1, d) * d**3 + d ** (order + 2)) * 8,
+    if order >= 2:  # the Christoffel jet of degree n - 1, contract's gathered block and its
+        # copy, and the tower's largest stage: nabla^i R of degree n - 2 - i (none for R)
+        # beside three arrays the size of the next jet (derivatives, their stack, a product)
+        jets = [math.comb(d + order - 2 - i, d) * d ** (i + 4) for i in range(order - 1)]
+        stage = max(a + 3 * b for a, b in zip([0] + jets, jets))
+        _within_budget((math.comb(d + order - 1, d) * d**3 + stage) * 8 + 2 * CHUNK_BYTES,
                        f"dense prediction for order {order} in dimension {d}")
     with _double_range("transported curvature derivatives"):
         check = curvature_derivative_table(cfg["model"], cfg["point"], cfg["vector"], [order],

@@ -14,14 +14,17 @@ factorial), so the degree-0 row is the field's value at the base point and the
 degree-1 rows are its first partial derivatives.
 
 Every lookup of a neighbouring monomial goes through one mixed-radix key
-search (_radix_lookup), cached as two read-only tables: product_table (the
-row of e + e') and lowering_table (the row of e - 1_a).  The lowering table
-serves derivatives and the conformal Christoffel jets.  Only the dense tower
-uses this module: the Taylor route (taylor.py) builds no PolyTensor.
+search (_radix_lookup), cached as read-only tables built on first use:
+product_table (the row of e + e'), its inverse quotient_table (the row of
+e - e') and lowering_table (the row of e - 1_a).  The lowering table serves
+derivatives and the conformal Christoffel jets.  Only the dense tower uses
+this module: the Taylor route (taylor.py) builds no PolyTensor.
 
-Products (contract) convolve monomial indices through the product table,
-and the tensor slots of the two factors combine through a caller-supplied
-einsum subscript.  They serve the dense covariant-derivative tower in
+Products (contract) gather, for every output monomial, the first factor's
+rows at its quotients by the second factor's monomials, and contract them
+with the second factor in one einsum per block of output rows; the tensor
+slots combine through a caller-supplied einsum subscript, and nothing
+convolves row by row.  They serve the dense covariant-derivative tower in
 geometry, the cross-check of the Taylor route; no production path multiplies
 two PolyTensors.
 """
@@ -34,6 +37,8 @@ import string
 from functools import lru_cache
 
 import numpy as np
+
+CHUNK_BYTES = 2**20  # contract gathers about this much of its first factor per block
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +90,20 @@ def product_table(dim: int, deg_a: int, deg_b: int, deg_out: int) -> np.ndarray:
     ka = monomial_exponents(dim, deg_a).astype(r.dtype) @ r
     kb = monomial_exponents(dim, deg_b).astype(r.dtype) @ r
     table = rows(ka[:, None] + kb[None, :])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def quotient_table(dim: int, deg_a: int, deg_b: int, deg_out: int) -> np.ndarray:
+    """(M_out, Mb) table: index of monomial e_k - e_j among degree <= deg_a, or -1.
+
+    Inverts the product table, where e_i -> e_i + e_j is one to one for each j;
+    differences of radix keys at base deg_out + 1 can borrow into a valid key."""
+    product = product_table(dim, deg_a, deg_b, deg_out)
+    i, j = np.nonzero(product >= 0)
+    table = np.full((monomial_count(dim, deg_out), product.shape[1]), -1, dtype=np.int64)
+    table[product[i, j], j] = i
     table.flags.writeable = False
     return table
 
@@ -158,13 +177,6 @@ class PolyTensor:
         out.data[dst] = fac * self.data[src]
         return out
 
-    def eval(self, xi) -> np.ndarray:
-        """Evaluate the truncated polynomial at chart offset xi from the base point."""
-        xi = np.asarray(xi, dtype=float)
-        exps = monomial_exponents(self.dim, self.degree)
-        weights = np.prod(xi[None, :] ** exps, axis=1)
-        return np.tensordot(weights, self.data, axes=(0, 0))
-
     def __repr__(self) -> str:
         return f"PolyTensor(dim={self.dim}, degree={self.degree}, shape={self.shape})"
 
@@ -172,10 +184,12 @@ class PolyTensor:
 def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None = None) -> PolyTensor:
     """Polynomial product with an einsum contraction over the tensor slots.
 
-    `subscripts` refers to the tensor axes only, e.g. "lim,mjk->lijk"; the
-    monomial axis is convolved.  The result is truncated at `degree`, which may
-    not exceed min(a.degree, b.degree) (beyond that the product coefficients
-    would depend on discarded terms).
+    `subscripts` refers to the tensor axes only, e.g. "lim,mjk->lijk".  Each
+    output row gathers its quotients, out[e_k] = sum_j a[e_k - e_j] (x) b[e_j]
+    with an absent quotient reading a zero row, and contracts them in one
+    einsum per block of rows; a block gathers about CHUNK_BYTES of `a`.  The
+    result is truncated at `degree`, which may not exceed min(a.degree, b.degree)
+    (beyond that the product coefficients would depend on discarded terms).
     """
     if a.dim != b.dim:
         raise ValueError("polynomial dimensions differ")
@@ -184,28 +198,20 @@ def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None =
         degree = safe
     if degree > safe:
         raise ValueError(f"product degree {degree} exceeds reliable degree {safe}")
-    a = a.truncate(min(a.degree, degree))
-    b = b.truncate(min(b.degree, degree))
+    a, b = a.truncate(degree), b.truncate(degree)
 
     lhs, out_sub = subscripts.split("->")
     a_sub, b_sub = lhs.split(",")
-    used = set(subscripts) - {",", "-", ">"}
-    mono = next(c for c in string.ascii_letters if c not in used)
-    stage_sub = f"{a_sub},{mono}{b_sub}->{mono}{out_sub}"
+    row, col = [c for c in string.ascii_letters if c not in subscripts][:2]
+    stage_sub = f"{row}{col}{a_sub},{col}{b_sub}->{row}{out_sub}"
 
-    out_shape = np.einsum(stage_sub, a.data[0], b.data[:0]).shape[1:]
-    out = PolyTensor.zeros(a.dim, degree, out_shape)
-    table = product_table(a.dim, a.degree, b.degree, degree)
-    mb = b.data.shape[0]
-    for i in range(a.data.shape[0]):
-        coeff = a.data[i]
-        if not np.any(coeff):
-            continue
-        idx = table[i, :mb]
-        valid = idx >= 0
-        if not valid.any():
-            continue
-        contrib = np.einsum(stage_sub, coeff, b.data[valid])
-        out.data[idx[valid]] += contrib
-    return out
-
+    table = quotient_table(a.dim, degree, degree, degree)
+    padded = np.concatenate([a.data, np.zeros((1,) + a.shape)])  # row -1 is zero
+    degrees = monomial_exponents(a.dim, degree).sum(axis=1)
+    step = max(1, CHUNK_BYTES // (table.shape[1] * padded[0].nbytes))
+    out = np.empty((len(table),) + np.einsum(stage_sub, padded[table[:0]], b.data).shape[1:])
+    for start in range(0, len(table), step):
+        rows = slice(start, start + step)
+        top = monomial_count(a.dim, degrees[rows][-1])  # b's monomials up to the block's degree
+        out[rows] = np.einsum(stage_sub, padded[table[rows, :top]], b.data[:top], optimize=True)
+    return PolyTensor(a.dim, degree, out)

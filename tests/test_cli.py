@@ -377,17 +377,43 @@ def test_runs_are_deterministic(tmp_path):
     assert out_a.read_text() == out_b.read_text()
 
 
-def test_module_entry_point(tmp_path):
-    # the child process imports the same package this process imported
+def _child_env() -> dict:
+    """The environment of a child process that imports the package this process imported."""
     package_root = str(pathlib.Path(dexpseries.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "dexpseries", "coeffs", "--max-degree", "4"],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert result.returncode == 0
     assert "PASS" in result.stdout
+
+
+IMPORT_PROBE = """
+import json, sys
+import dexpseries.cli
+print(json.dumps({f"{name}.{attr}": value.cache_info().currsize
+                  for name, module in sorted(sys.modules.items()) if name.startswith("dexpseries")
+                  for attr, value in vars(module).items()
+                  if hasattr(value, "cache_info") and value.__module__ == name}))
+"""
+
+
+def test_import_builds_no_cached_table():
+    # every lru_cache of the package is still empty after `import dexpseries.cli` in a
+    # fresh interpreter: the tables are built by the first run that needs them, so
+    # importing costs the commands that never use them nothing
+    result = subprocess.run([sys.executable, "-c", IMPORT_PROBE], capture_output=True,
+                            text=True, env=_child_env(), check=True)
+    sizes = json.loads(result.stdout)
+    assert {"dexpseries.polyjet.product_table", "dexpseries.polyjet.quotient_table",
+            "dexpseries.polyjet.lowering_table", "dexpseries.polyjet.monomial_exponents",
+            "dexpseries.manifolds._poly_tables", "dexpseries.manifolds._pattern_table"} <= set(sizes)
+    assert {name: size for name, size in sizes.items() if size} == {}
 
 
 def assert_invalid(argv, capsys) -> str:
@@ -675,10 +701,13 @@ def _never_called(*args, **kwargs):
     # Gamma at the 129 nodes of a block of 13 geodesics in d = 36: about 0.8 GiB
     ("lemma2", {"kind": "sphere", "dimension": 36}, 10_000, ["--n", "2"],
      "curvature_derivative_table", "stencil node store"),
-    # nabla^2 R in d = 20 holds 20^6 doubles, plus the degree-3 Christoffel jet
+    # the tower's last stage in d = 20 holds nabla R and three 20^6-double arrays
     ("lemma2", {"kind": "flat", "dimension": 20}, 100, ["--n", "4"],
      "curvature_derivative_table", "dense prediction"),
-], ids=["verify-d30", "convergence-batch", "lemma2-nodes", "lemma2-dense"])
+    # 552 MiB counted for the tower in d = 16; the jet and nabla^2 R alone are 158 MiB
+    ("lemma2", {"kind": "sphere", "dimension": 16}, 100, ["--n", "4"],
+     "curvature_derivative_table", "dense prediction"),
+], ids=["verify-d30", "convergence-batch", "lemma2-nodes", "lemma2-dense", "lemma2-dense-d16"])
 def test_oracle_and_lemma2_over_budget_are_refused_before_they_allocate(
         tmp_path, capsys, monkeypatch, command, manifold, steps, extra, patched, stage):
     monkeypatch.setattr(f"dexpseries.cli.{patched}", _never_called)
@@ -734,6 +763,30 @@ def test_polynomial_oracle_peak_stays_near_the_budget_count(monkeypatch, d, batc
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * counted[0]
+
+
+@pytest.mark.parametrize("d, n", [(6, 4), (8, 4), (14, 3), (30, 2)])
+def test_dense_prediction_peak_stays_near_the_budget_count(tmp_path, monkeypatch, d, n):
+    # the bytes cmd_lemma2 counts for the dense prediction bound what
+    # curvature_jet(sphere(d), p, n - 2) holds once its tables are built; the count
+    # includes two contract blocks of CHUNK_BYTES, which small towers do not fill
+    counted = {}
+    monkeypatch.setattr(dexpseries.cli, "_within_budget",
+                        lambda nbytes, what: counted.setdefault(what.split(" for ")[0], nbytes))
+    monkeypatch.setattr(dexpseries.cli, "curvature_derivative_table", _past_the_budget)
+    cfg = {"manifold": {"kind": "sphere", "dimension": d}, "point": [0.05] * d,
+           "vector": [0.1] + [0.0] * (d - 1), "steps": 100}
+    with pytest.raises(_PastTheBudget):
+        main(["lemma2", "--config", write_config(tmp_path, cfg), "--n", str(n)])
+    model, p = dexpseries.sphere(d), np.full(d, 0.05)
+    dexpseries.curvature_jet(model, p, n - 2)
+    tracemalloc.start()
+    try:
+        dexpseries.curvature_jet(model, p, n - 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.5 * counted["dense prediction"] <= peak <= 1.25 * counted["dense prediction"]
 
 
 # -- the exit-code contract over drawn configs -----------------------------------------
