@@ -295,9 +295,9 @@ def cmd_lemma2(cfg: dict) -> tuple[dict, bool, str]:
                    f"stencil node store ({geodesics} x {block}-step block in dimension {d})")
     if order >= 2:  # the Christoffel jet of degree n - 1, contract's gathered block and its
         # copy, and the tower's largest stage: nabla^i R of degree n - 2 - i (none for R)
-        # beside three arrays the size of the next jet (derivatives, their stack, a product)
+        # beside two arrays the size of the next jet (the derivative being filled, a product)
         jets = [math.comb(d + order - 2 - i, d) * d ** (i + 4) for i in range(order - 1)]
-        stage = max(a + 3 * b for a, b in zip([0] + jets, jets))
+        stage = max(a + 2 * b for a, b in zip([0] + jets, jets))
         _within_budget((math.comb(d + order - 1, d) * d**3 + stage) * 8 + 2 * CHUNK_BYTES,
                        f"dense prediction for order {order} in dimension {d}")
     with _double_range("transported curvature derivatives"):

@@ -27,10 +27,12 @@ right-hand side of the oracle's transported-curvature derivative check.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .polyjet import PolyTensor, contract
-from .tensors import DenseTensor, LinearOperator, contract_leading
+from .polyjet import PolyTensor, contract, monomial_count
+from .tensors import DenseTensor, LinearOperator
 
 
 class ChartDomainError(ValueError):
@@ -94,12 +96,13 @@ def curvature_polynomial(gamma: PolyTensor, degree: int) -> PolyTensor:
     if gamma.degree < degree + 1:
         raise ValueError(f"christoffel jet degree {gamma.degree} < required {degree + 1}")
     d = gamma.dim
-    dg = np.stack([gamma.diff(a).truncate(degree).data for a in range(d)], axis=1)
-    term1 = np.einsum("mxlyz->mlxyz", dg)
-    term2 = np.einsum("mylxz->mlxyz", dg)
-    gg = contract("lxm,myz->lxyz", gamma, gamma, degree)
-    gg_swapped = np.einsum("mlyxz->mlxyz", gg.data)
-    return PolyTensor(d, degree, term1 - term2 + gg.data - gg_swapped)
+    # d_x Gamma^l_yz + Gamma^l_xm Gamma^m_yz, less the same with x and y exchanged
+    out = np.empty((monomial_count(d, degree),) + (d,) * 4)
+    for a in range(d):
+        out[:, :, a] = gamma.diff(a).truncate(degree).data
+    contract("lxm,myz->lxyz", gamma, gamma, degree, out=out)
+    out -= out.swapaxes(2, 3).copy()
+    return PolyTensor(d, degree, out)
 
 
 def covariant_derivative(tensor: PolyTensor, gamma: PolyTensor, degree: int) -> PolyTensor:
@@ -117,11 +120,14 @@ def covariant_derivative(tensor: PolyTensor, gamma: PolyTensor, degree: int) -> 
         raise ValueError("tensor rank too large")
     J = letters[:s]
 
-    out = np.stack([tensor.diff(a).truncate(degree).data for a in range(d)], axis=2)
-    out += contract(f"uam,m{J}->ua{J}", gamma, tensor, degree).data
+    out = np.empty((monomial_count(d, degree), d, d) + tensor.shape[1:])
+    for a in range(d):
+        out[:, :, a] = tensor.diff(a).truncate(degree).data
+    contract(f"uam,m{J}->ua{J}", gamma, tensor, degree, out=out)
+    minus_gamma = PolyTensor(d, degree, -gamma.truncate(degree).data)
     for i in range(s):
         t_sub = "u" + J[:i] + "m" + J[i + 1:]
-        out -= contract(f"ma{J[i]},{t_sub}->ua{J}", gamma, tensor, degree).data
+        contract(f"ma{J[i]},{t_sub}->ua{J}", minus_gamma, tensor, degree, out=out)
     return PolyTensor(d, degree, out)
 
 
@@ -185,13 +191,27 @@ def curvature_jet(model: ManifoldModel, p, max_order: int) -> CurvatureJet:
     return CurvatureJet(p, max_order, tensors)
 
 
+@lru_cache(maxsize=None)
+def _digits(d: int, n: int) -> np.ndarray:
+    """Read-only (n, d^n) table: column i holds the n base-d digits of i, most significant first."""
+    table = np.indices((d,) * n).reshape(n, d**n)
+    table.flags.writeable = False
+    return table
+
+
 def jacobi_operator(jet: CurvatureJet, v, n: int) -> LinearOperator:
-    """The operator w -> (v^n . nabla^n R)(v, w) v; homogeneous of degree n+2 in v."""
+    """The operator w -> (v^n . nabla^n R)(v, w) v; homogeneous of degree n+2 in v.
+
+    nabla^n R is read once, as one product of the Kronecker power v^(x)n with a
+    (d, d^n, d^3) view of its components, then R(v, ., v) is contracted.
+    """
     if not 0 <= n <= jet.max_order:
         raise ValueError(f"derivative order {n} outside jet range 0..{jet.max_order}")
     v = np.asarray(v, dtype=float)
-    g = contract_leading(jet.tensors[n], v, n).components
-    return LinearOperator(np.einsum("lijk,i,k->lj", g, v, v))
+    d = jet.dimension
+    power = v[_digits(d, n)].prod(axis=0)  # v^(x)n: the products v_a1 ... v_an in C order
+    g = power @ jet.tensors[n].components.reshape(d, d**n, d**3)
+    return LinearOperator(np.einsum("lijk,i,k->lj", g.reshape(d, d, d, d), v, v))
 
 
 def word_operator(jet: CurvatureJet, v, word) -> LinearOperator:

@@ -73,9 +73,9 @@ class GeodesicTrajectory:
 @dataclass
 class TransportFrame:
     """Parallel-transported basis along a geodesic; frames[k] maps the initial
-    tangent space to the tangent space at times[k] in chart coordinates."""
+    tangent space to the tangent space at the k-th coarse node, the trajectory's
+    times[2 k], in chart coordinates."""
 
-    times: np.ndarray
     frames: np.ndarray
 
     @property
@@ -189,7 +189,7 @@ def transport_frame(model: ManifoldModel, traj: GeodesicTrajectory,
     if initial is None:
         initial = np.broadcast_to(np.eye(model.dimension), traj.christoffels.shape[1:-1])
     frames = _integrate_linear(_transport_generators(traj), traj.times, initial)
-    return TransportFrame(traj.times[::2], frames)
+    return TransportFrame(frames)
 
 
 def dexp_oracle(model: ManifoldModel, p, v, steps: int):

@@ -24,7 +24,8 @@ Products (contract) gather, for every output monomial, the first factor's
 rows at its quotients by the second factor's monomials, and contract them
 with the second factor in one einsum per block of output rows; the tensor
 slots combine through a caller-supplied einsum subscript, and nothing
-convolves row by row.  They serve the dense covariant-derivative tower in
+convolves row by row.  Each block can be added into a caller's array, so
+the dense tower sums its terms in one array per stage.  They serve the dense covariant-derivative tower in
 geometry, the cross-check of the Taylor route; no production path multiplies
 two PolyTensors.
 """
@@ -181,7 +182,8 @@ class PolyTensor:
         return f"PolyTensor(dim={self.dim}, degree={self.degree}, shape={self.shape})"
 
 
-def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None = None) -> PolyTensor:
+def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None = None,
+             out: np.ndarray | None = None) -> PolyTensor:
     """Polynomial product with an einsum contraction over the tensor slots.
 
     `subscripts` refers to the tensor axes only, e.g. "lim,mjk->lijk".  Each
@@ -190,6 +192,8 @@ def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None =
     einsum per block of rows; a block gathers about CHUNK_BYTES of `a`.  The
     result is truncated at `degree`, which may not exceed min(a.degree, b.degree)
     (beyond that the product coefficients would depend on discarded terms).
+    Given `out`, an array of the product's data shape, the product is added
+    into it block by block, and only one block of the product is ever held.
     """
     if a.dim != b.dim:
         raise ValueError("polynomial dimensions differ")
@@ -209,9 +213,10 @@ def contract(subscripts: str, a: PolyTensor, b: PolyTensor, degree: int | None =
     padded = np.concatenate([a.data, np.zeros((1,) + a.shape)])  # row -1 is zero
     degrees = monomial_exponents(a.dim, degree).sum(axis=1)
     step = max(1, CHUNK_BYTES // (table.shape[1] * padded[0].nbytes))
-    out = np.empty((len(table),) + np.einsum(stage_sub, padded[table[:0]], b.data).shape[1:])
+    if out is None:
+        out = np.zeros((len(table),) + np.einsum(stage_sub, padded[table[:0]], b.data).shape[1:])
     for start in range(0, len(table), step):
         rows = slice(start, start + step)
         top = monomial_count(a.dim, degrees[rows][-1])  # b's monomials up to the block's degree
-        out[rows] = np.einsum(stage_sub, padded[table[rows, :top]], b.data[:top], optimize=True)
+        out[rows] += np.einsum(stage_sub, padded[table[rows, :top]], b.data[:top], optimize=True)
     return PolyTensor(a.dim, degree, out)

@@ -20,11 +20,9 @@ def _as_components(values, ndim_expected: int) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != ndim_expected:
         raise ValueError(f"expected a rank-{ndim_expected} component array, got rank {arr.ndim}")
-    if arr.ndim > 0:
-        d = arr.shape[0]
-        if any(s != d for s in arr.shape):
-            raise ValueError(f"all slots must share one dimension, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if arr.shape != arr.shape[:1] * arr.ndim:
+        raise ValueError(f"all slots must share one dimension, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
         raise ValueError("tensor components must be finite")
     return arr
 

@@ -1,17 +1,92 @@
+import functools
+import math
+
 import numpy as np
 import pytest
 
 from dexpseries.evaluate import (
+    _word_table,
     closed_form_components,
     evaluate_closed_form,
     evaluate_recurrence,
     evaluate_symmetric,
     recurrence_components,
 )
-from dexpseries.geometry import curvature_jet
+from dexpseries.geometry import curvature_jet, jacobi_operator
 from dexpseries.manifolds import flat, hyperbolic, polynomial_connection, sphere
+from dexpseries.series import coefficient, words_of_degree, words_up_to_degree
 from dexpseries.taylor import curvature_operators
 from dexpseries.tensors import operator_distance
+
+
+@functools.cache
+def _float_coefficients(n: int) -> dict:
+    return {word: float(coefficient(word)) for word in words_up_to_degree(n)}
+
+
+def _closed_form_loop(ops, max_degree: int) -> list[np.ndarray]:
+    """The per-word loop closed_form_components ran before its batched products:
+    each word's matrix from its cached suffix, added word by word."""
+    d = ops[0].shape[0]
+    weights = _float_coefficients(max_degree)
+    comps = [np.eye(d)] + [np.zeros((d, d)) for _ in range(max_degree)]
+    cache = {(): np.eye(d)}
+    for n in range(2, max_degree + 1):
+        for word in words_of_degree(n):
+            cache[word] = ops[word[0]] @ cache[word[1:]]
+            comps[n] += weights[word] * cache[word]
+    return comps
+
+
+def _recurrence_loop(ops, max_degree: int) -> list[np.ndarray]:
+    """The per-term loop recurrence_components ran before its stacked products."""
+    d = ops[0].shape[0]
+    comps = [np.eye(d), np.zeros((d, d))]
+    for n in range(2, max_degree + 1):
+        acc = np.zeros((d, d))
+        for m in range(0, n - 1):
+            acc += (1.0 / math.factorial(m)) * (ops[m] @ comps[n - m - 2])
+        comps.append(acc / (n * (n + 1)))
+    return comps[:max_degree + 1]
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_batched_routes_match_the_per_word_and_per_term_loops(d):
+    top = 20
+    ops = np.random.default_rng([17, d]).normal(size=(top - 1, d, d))
+    references = {closed_form_components: _closed_form_loop(ops, top),
+                  recurrence_components: _recurrence_loop(ops, top)}
+    for route, reference in references.items():
+        for N in range(top + 1):
+            comps = route(list(ops[:max(1, N - 1)]), max_degree=N)
+            assert comps.shape == (N + 1, d, d)
+            for n in range(N + 1):
+                err = np.linalg.norm(comps[n] - reference[n])
+                assert err <= 1e-14 * np.linalg.norm(reference[n]), (route.__name__, N, n, err)
+
+
+def test_batched_routes_match_the_loops_on_a_dense_jet():
+    model = polynomial_connection(3, 3, 0.5, 42)
+    jet = curvature_jet(model, np.array([0.1, -0.05, 0.02]), 6)
+    v = np.array([0.25, -0.15, 0.1])
+    ops = [jacobi_operator(jet, v, m).matrix for m in range(7)]
+    for route, loop in ((closed_form_components, _closed_form_loop),
+                        (recurrence_components, _recurrence_loop)):
+        for a, b in zip(route(jet, v, 8), loop(ops, 8)):
+            assert np.linalg.norm(a - b) <= 1e-14 * np.linalg.norm(b)
+
+
+def test_word_tables_list_each_degree_in_order_and_are_read_only():
+    for n in range(2, 17):
+        firsts, suffixes, weights = _word_table(n)
+        shorter = words_up_to_degree(n - 1)  # the stack the suffix rows index
+        words = [(int(m),) + shorter[row] for m, row in zip(firsts, suffixes)]
+        assert words == words_of_degree(n)
+        assert weights.tolist() == [float(coefficient(word)) for word in words]
+        for table in (firsts, suffixes, weights):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 0
 
 
 def test_flat_gives_identity():

@@ -3,13 +3,14 @@ import pytest
 
 from dexpseries.geometry import (
     ChartDomainError,
+    _digits,
     curvature,
     curvature_jet,
     jacobi_operator,
     word_operator,
 )
 from dexpseries.manifolds import flat, hyperbolic, polynomial_connection, sphere
-from dexpseries.tensors import operator_distance
+from dexpseries.tensors import contract_leading, operator_distance
 
 
 # ----------------------------------------------------------------------------
@@ -259,6 +260,35 @@ def test_jacobi_operator_basics():
     for n in range(3):
         doubled = jacobi_operator(jet, 2.0 * v, n).matrix
         assert np.array_equal(doubled, 2.0 ** (n + 2) * jacobi_operator(jet, v, n).matrix)
+
+
+def _jacobi_operator_chain(jet, v, n):
+    """The per-order chain jacobi_operator ran before it read nabla^n R in one
+    product: contract_leading n times, then R(v, ., v)."""
+    g = contract_leading(jet.tensors[n], v, n).components
+    return np.einsum("lijk,i,k->lj", g, v, v)
+
+
+@pytest.mark.parametrize("model", [polynomial_connection(3, 3, 0.5, 42),
+                                   polynomial_connection(2, 3, 0.5, 7)], ids=["poly3", "poly2"])
+def test_jacobi_operator_matches_the_contraction_chain(model):
+    rng = np.random.default_rng(12)
+    jet = curvature_jet(model, rng.uniform(-0.1, 0.1, model.dimension), 6)
+    for _ in range(3):
+        v = rng.uniform(-0.3, 0.3, model.dimension)
+        for n in range(7):
+            ref = _jacobi_operator_chain(jet, v, n)
+            err = np.linalg.norm(jacobi_operator(jet, v, n).matrix - ref)
+            assert err <= 1e-14 * np.linalg.norm(ref), (n, err)
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 0), (3, 1), (3, 4), (5, 2)])
+def test_digit_table_spells_each_index_and_is_read_only(d, n):
+    table = _digits(d, n)
+    assert table.shape == (n, d**n)
+    assert np.array_equal(d ** np.arange(n - 1, -1, -1) @ table, np.arange(d**n))
+    with pytest.raises(ValueError):
+        table[..., 0] = 1
 
 
 def test_jacobi_operator_flat_zero():

@@ -139,7 +139,7 @@ def test_transport_ode_residual_on_grid():
     traj = integrate_geodesic(model, np.array([0.05, 0.1]), np.array([0.3, 0.2]), 400)
     frame = transport_frame(model, traj)
     k = 150
-    h = frame.times[1] - frame.times[0]
+    h = traj.times[2] - traj.times[0]  # frames sit at every other trajectory node
     dF = (frame.frames[k + 1] - frame.frames[k - 1]) / (2 * h)
     x, u = traj.positions[2 * k], traj.velocities[2 * k]
     gamma = model.christoffel(x)

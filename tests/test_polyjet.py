@@ -177,6 +177,16 @@ def test_contract_blocks_agree_with_one_block(monkeypatch, subscripts):
     assert np.max(np.abs(split.data - whole.data)) <= 1e-15 * np.max(np.abs(whole.data))
 
 
+@pytest.mark.parametrize("subscripts", CONTRACT_FORMS)
+def test_contract_adds_into_a_given_out(subscripts):
+    a, b = random_factors(subscripts, 3, 3, 3, np.random.default_rng(9))
+    product = contract(subscripts, a, b, 2).data
+    start = np.random.default_rng(10).normal(size=product.shape)
+    out = start.copy()
+    assert contract(subscripts, a, b, 2, out=out).data is out
+    assert np.array_equal(out, start + product)
+
+
 def test_contract_rejects_uncovered_degree():
     a = PolyTensor.zeros(2, 2, ())
     b = PolyTensor.zeros(2, 1, ())
