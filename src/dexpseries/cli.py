@@ -38,17 +38,17 @@ import numpy as np
 
 from . import manifolds, series
 from .evaluate import closed_form_components, evaluate_closed_form, evaluate_recurrence
-from .geometry import ChartDomainError
-from .oracle import (BLOCK_STEPS, EPS, STENCIL_SAMPLE_KEYS, curvature_derivative_table,
-                     dexp_oracle)
-from .polyjet import CHUNK_BYTES
-from .taylor import curvature_operators
+from .geometry import ChartDomainError, curvature_jet_bytes
+from .oracle import (EPS, block_steps, curvature_derivative_table, dexp_oracle,
+                     dexp_oracle_bytes, stencil_bytes)
+from .taylor import curvature_operators, curvature_operators_bytes
 from .tensors import operator_distance
 
 MAX_DEGREE_CAP = 12
 MIN_STEPS = 100
 MAX_STEPS = 100_000  # bounds the oracle's time: 2*steps RK4 steps per geodesic
-MAX_ARRAY_BYTES = 2**29  # the largest arrays of a command, checked before they exist
+MAX_ARRAY_BYTES = 2**29  # each counted array set of a command, checked before it exists;
+# the budget bounds the counted arrays, not the process's resident memory
 DEFAULT_T_VALUES = (0.05, 0.1, 0.2, 0.3, 0.4)
 # convergence fits its slope through the distances this many times above their
 # rounding floor eps sqrt(steps) (1 + |E(t v)|), which rounding alone stayed below
@@ -204,21 +204,11 @@ def _within_budget(nbytes: int, what: str):
                            f"(limit {MAX_ARRAY_BYTES / 2**30:g} GiB)")
 
 
-def _oracle_budget(cfg, batch: int):
-    """dexp_oracle keeps d Gamma, Gamma with its contraction by x' and the
-    Jacobi system, d^4 + 2 d^3 + 12 d^2 doubles, at each of the 2*b + 1 nodes
-    of one block of b = min(steps, BLOCK_STEPS) coarse steps of every geodesic."""
-    d, block = cfg["model"].dimension, min(cfg["steps"], BLOCK_STEPS)
-    _within_budget((2 * block + 1) * batch * (d**4 + 2 * d**3 + 12 * d**2) * 8,
-                   f"ODE oracle node store ({batch} x {block}-step block in dimension {d})")
-
-
 def _series(cfg, route):
     """route(ops) on the Taylor-route operators r_n(v), each stage in the double range."""
     model, n = cfg["model"], cfg["max_degree"]
     d, order = model.dimension, max(0, n - 2)
-    # the series of d Gamma along the geodesic, d^4 doubles per order 0..K
-    _within_budget((order + 1) * d**4 * 8,
+    _within_budget(curvature_operators_bytes(d, order),
                    f"Christoffel partials series for max_degree {n} in dimension {d}")
     with _double_range("curvature operators r_n(v)"):
         ops = curvature_operators(model, cfg["point"], cfg["vector"], order)
@@ -226,6 +216,17 @@ def _series(cfg, route):
             raise FloatingPointError("non-finite value")
     with _double_range("series sum"):
         return route(ops)
+
+
+def _series_and_oracle(cfg, v, route):
+    """_series(cfg, route) and dexp_oracle at the velocity v, one (d,) or a batch
+    (B, d), with the oracle's node store checked before either runs."""
+    d, steps, batch = cfg["model"].dimension, cfg["steps"], 1 if v.ndim == 1 else len(v)
+    _within_budget(dexp_oracle_bytes(d, steps, batch), f"ODE oracle node store ({batch} x "
+                   f"{block_steps(steps)}-step block in dimension {d})")
+    out = _series(cfg, route)
+    with _double_range("ODE oracle"):
+        return out, dexp_oracle(cfg["model"], cfg["point"], v, steps)
 
 
 def cmd_eval(cfg: dict) -> tuple[dict, bool, str]:
@@ -241,10 +242,8 @@ def cmd_eval(cfg: dict) -> tuple[dict, bool, str]:
 
 def cmd_verify(cfg: dict) -> tuple[dict, bool, str]:
     n = cfg["max_degree"]
-    _oracle_budget(cfg, batch=1)
-    ev = _series(cfg, lambda ops: evaluate_closed_form(ops, max_degree=n))
-    with _double_range("ODE oracle"):
-        oracle_op = dexp_oracle(cfg["model"], cfg["point"], cfg["vector"], cfg["steps"])
+    ev, oracle_op = _series_and_oracle(cfg, cfg["vector"],
+                                       lambda ops: evaluate_closed_form(ops, max_degree=n))
     dist = operator_distance(ev.operator, oracle_op)
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-6
     return ({"max_degree": n, "steps": cfg["steps"], "series": ev.to_json(),
@@ -255,12 +254,8 @@ def cmd_verify(cfg: dict) -> tuple[dict, bool, str]:
 def cmd_convergence(cfg: dict) -> tuple[dict, bool, str]:
     n = cfg["max_degree"]
     t_values = cfg["t_values"]
-    _oracle_budget(cfg, batch=len(t_values))
-
-    comps = _series(cfg, lambda ops: closed_form_components(ops, max_degree=n))
-    with _double_range("ODE oracle"):
-        oracle_ops = dexp_oracle(cfg["model"], cfg["point"],
-                                 np.outer(t_values, cfg["vector"]), cfg["steps"])
+    comps, oracle_ops = _series_and_oracle(cfg, np.outer(t_values, cfg["vector"]),
+                                           lambda ops: closed_form_components(ops, max_degree=n))
     rows = []
     for t, oracle_op in zip(t_values, oracle_ops):
         truncated = sum(t**k * comp for k, comp in enumerate(comps))
@@ -286,23 +281,15 @@ def cmd_convergence(cfg: dict) -> tuple[dict, bool, str]:
 def cmd_lemma2(cfg: dict) -> tuple[dict, bool, str]:
     if cfg["n"] is None:
         raise InvalidInput("lemma2 needs a derivative order: config field 'n' or --n")
-    order = cfg["n"]
-    d, block = cfg["model"].dimension, min(cfg["steps"], BLOCK_STEPS)
-    # per stencil geodesic: Gamma, the transport generator and the frame at every
-    # node of one block, and d Gamma at its end
-    geodesics = len(STENCIL_SAMPLE_KEYS)
-    _within_budget(geodesics * ((2 * block + 1) * (d**3 + 2 * d**2) + d**4) * 8,
-                   f"stencil node store ({geodesics} x {block}-step block in dimension {d})")
-    if order >= 2:  # the Christoffel jet of degree n - 1, contract's gathered block and its
-        # copy, and the tower's largest stage: nabla^i R of degree n - 2 - i (none for R)
-        # beside two arrays the size of the next jet (the derivative being filled, a product)
-        jets = [math.comb(d + order - 2 - i, d) * d ** (i + 4) for i in range(order - 1)]
-        stage = max(a + 2 * b for a, b in zip([0] + jets, jets))
-        _within_budget((math.comb(d + order - 1, d) * d**3 + stage) * 8 + 2 * CHUNK_BYTES,
+    order, d, steps = cfg["n"], cfg["model"].dimension, cfg["steps"]
+    _within_budget(stencil_bytes(d, steps),  # 13 geodesics, one per stencil sample
+                   f"stencil node store (13 x {block_steps(steps)}-step block in dimension {d})")
+    if order >= 2:  # the dense prediction is n (n - 1) r_(n-2) on curvature_jet(n - 2)
+        _within_budget(curvature_jet_bytes(d, order - 2),
                        f"dense prediction for order {order} in dimension {d}")
     with _double_range("transported curvature derivatives"):
         check = curvature_derivative_table(cfg["model"], cfg["point"], cfg["vector"], [order],
-                                           steps=cfg["steps"], fd_step=cfg["fd_step"])[order]
+                                           steps=steps, fd_step=cfg["fd_step"])[order]
     tol = cfg["tolerance"] if cfg["tolerance"] is not None else 1e-5
     if check.floor > tol:
         raise InvalidInput(f"derivative order {order}: the rounding floor {check.floor:.3e} "

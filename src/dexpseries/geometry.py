@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .polyjet import PolyTensor, contract, monomial_count
+from .polyjet import CHUNK_BYTES, PolyTensor, contract, monomial_count
 from .tensors import DenseTensor, LinearOperator
 
 
@@ -189,6 +189,17 @@ def curvature_jet(model: ManifoldModel, p, max_order: int) -> CurvatureJet:
         current = covariant_derivative(current, gamma, max_order - n - 1)
         tensors.append(DenseTensor(1, 4 + n, current.value))
     return CurvatureJet(p, max_order, tensors)
+
+
+def curvature_jet_bytes(d: int, max_order: int) -> int:
+    """Bytes curvature_jet holds at peak once its tables are built: the Christoffel jet,
+    the tower's largest stage and contract's gathered block with its copy, two
+    CHUNK_BYTES.  A stage is one jet nabla^i R of degree K - i (none for R itself)
+    beside two arrays the size of the next jet: that jet, filled in place, and one
+    block of a product, which for the degree-0 last jet is the whole jet."""
+    jets = [monomial_count(d, max_order - i) * d ** (i + 4) for i in range(max_order + 1)]
+    stage = max(a + 2 * b for a, b in zip([0] + jets, jets))
+    return (monomial_count(d, max_order + 1) * d**3 + stage) * 8 + 2 * CHUNK_BYTES
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .geometry import ManifoldModel
-from .polyjet import PolyTensor, lowering_table, monomial_count, monomial_exponents
+from .polyjet import PolyTensor, monomial_count, monomial_exponents, quotient_table
 from .taylor import _cauchy, _divide
 
 MAX_POLY_TABLE_BYTES = 2**26  # from_config: (d, d, d, d) arrays; polynomial monomial count
@@ -108,7 +108,8 @@ class _ConformalModel(ManifoldModel):
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
         d, sigma, u0 = self.dimension, self._sigma, self._u(x)
-        low = lowering_table(d, order)  # [a, m]: row of exps[m] - 1_a (low2: - 2_a), or -1
+        # [a, m]: the row of exps[m] - 1_a (low2: - 2_a), or -1; 1_a is quotient column d - a
+        low = quotient_table(d, order, 1, order)[:, :0:-1].T
         low2 = np.where(low >= 0, np.take_along_axis(low, np.maximum(low, 0), axis=1), -1)
         w = np.zeros(low.shape[1] + 1)  # w[-1] = 0 stands for an absent monomial
         w[0] = -2.0 * sigma / u0

@@ -70,19 +70,6 @@ class GeodesicTrajectory:
         return self.positions[-1]
 
 
-@dataclass
-class TransportFrame:
-    """Parallel-transported basis along a geodesic; frames[k] maps the initial
-    tangent space to the tangent space at the k-th coarse node, the trajectory's
-    times[2 k], in chart coordinates."""
-
-    frames: np.ndarray
-
-    @property
-    def end(self) -> np.ndarray:
-        return self.frames[-1]
-
-
 def _as_operators(matrices: np.ndarray, v: np.ndarray):
     """One LinearOperator for a single velocity, a list of them for a batch."""
     if v.ndim == 1:
@@ -134,6 +121,11 @@ def integrate_geodesic(model: ManifoldModel, p, v, steps: int, start: int = 0,
     return GeodesicTrajectory(times, positions, velocities, gammas)
 
 
+def block_steps(steps: int) -> int:
+    """Coarse RK4 steps in one streamed block of a curve of `steps` steps."""
+    return min(steps, BLOCK_STEPS)
+
+
 def _geodesic_blocks(model: ManifoldModel, p, v, steps: int):
     """The trajectory of integrate_geodesic in consecutive blocks of BLOCK_STEPS
     coarse steps, each starting at the last node of the one before.  A block is
@@ -181,15 +173,14 @@ def _integrate_linear(a_nodes: np.ndarray, times: np.ndarray, y0: np.ndarray) ->
     return out
 
 
-def transport_frame(model: ManifoldModel, traj: GeodesicTrajectory,
-                    initial=None) -> TransportFrame:
+def transport_frame(model: ManifoldModel, traj: GeodesicTrajectory, initial=None) -> np.ndarray:
     """Parallel transport of a frame along the trajectory (each trajectory of a
     batch): initial at traj.times[0], the coordinate basis by default; Gamma
-    comes from the stored nodes."""
+    comes from the stored nodes.  Frame k maps the initial tangent space to the
+    tangent space at the k-th coarse node, the trajectory's times[2 k]."""
     if initial is None:
         initial = np.broadcast_to(np.eye(model.dimension), traj.christoffels.shape[1:-1])
-    frames = _integrate_linear(_transport_generators(traj), traj.times, initial)
-    return TransportFrame(frames)
+    return _integrate_linear(_transport_generators(traj), traj.times, initial)
 
 
 def dexp_oracle(model: ManifoldModel, p, v, steps: int):
@@ -218,6 +209,13 @@ def dexp_oracle(model: ManifoldModel, p, v, steps: int):
     return _as_operators(np.linalg.solve(y[..., 2 * d:, :], y[..., :d, :]), v)
 
 
+def dexp_oracle_bytes(d: int, steps: int, batch: int) -> int:
+    """Bytes dexp_oracle holds at peak: d Gamma, Gamma with its contraction by x' and
+    the Jacobi system, d^4 + 2 d^3 + 12 d^2 doubles, at each of the 2 b + 1 nodes of
+    one block of b = block_steps(steps) coarse steps of each of the batch geodesics."""
+    return (2 * block_steps(steps) + 1) * batch * (d**4 + 2 * d**3 + 12 * d**2) * 8
+
+
 def transported_curvature(model: ManifoldModel, p, v, steps: int):
     """The operator w -> F^-1 R_end(F v, F w) F v with F the end transport frame.
 
@@ -227,7 +225,7 @@ def transported_curvature(model: ManifoldModel, p, v, steps: int):
     v = np.asarray(v, dtype=float)
     f = None
     for traj in _geodesic_blocks(model, p, v, steps):
-        f = transport_frame(model, traj, f).end
+        f = transport_frame(model, traj, f)[-1]
         x_end = traj.endpoint
         del traj  # so that one block is held at a time
     fv = np.einsum("...ij,...j->...i", f, v)
@@ -263,6 +261,14 @@ def fd_weights(offsets: tuple[int, ...], order: int) -> tuple[Fraction, ...]:
 STENCIL_OFFSETS = (-4, -3, -2, -1, 0, 1, 2, 3, 4)
 # t = k h/2 at every k of the coarse (spacing h) and fine (spacing h/2) stencils
 STENCIL_SAMPLE_KEYS = tuple(sorted({2 * s for s in STENCIL_OFFSETS} | set(STENCIL_OFFSETS)))
+
+
+def stencil_bytes(d: int, steps: int) -> int:
+    """Bytes the sample sweep of curvature_derivative_table holds at peak: for each of
+    its geodesics, one per sample key, Gamma, the transport generator and the frame at
+    the 2 b + 1 nodes of one block (b = block_steps(steps)), and d Gamma at its end."""
+    return len(STENCIL_SAMPLE_KEYS) * ((2 * block_steps(steps) + 1) * (d**3 + 2 * d**2)
+                                       + d**4) * 8
 
 
 @dataclass

@@ -14,9 +14,9 @@ factorial), so the degree-0 row is the field's value at the base point and the
 degree-1 rows are its first partial derivatives.
 
 Every lookup of a neighbouring monomial goes through one mixed-radix key
-search (_radix_lookup), cached as read-only tables built on first use:
-product_table (the row of e + e'), its inverse quotient_table (the row of
-e - e') and lowering_table (the row of e - 1_a).  The lowering table serves
+search, cached as read-only tables built on first use: product_table (the
+row of e + e') and its inverse quotient_table (the row of e - e').  Its
+columns for e' = 1_a, quotient_table(dim, D, 1, D)[:, dim - a], serve
 derivatives and the conformal Christoffel jets.  Only the dense tower uses
 this module: the Taylor route (taylor.py) builds no PolyTensor.
 
@@ -63,34 +63,22 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     return arr
 
 
-def _radix_lookup(dim: int, degree: int, base: int):
-    """Mixed-radix keys of the monomials of degree <= `degree`, and their inverse.
-
-    Returns the key weights r = (base^k) and a function mapping keys e . r to
-    rows, or -1 where no monomial has that key.  Keys are exact for exponent
-    entries below `base`; past int64 they are Python integers."""
-    dtype = np.int64 if base**dim < 2**63 else object
-    r = np.array([base**k for k in range(dim)], dtype=dtype)
-    keys = monomial_exponents(dim, degree).astype(dtype) @ r
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-
-    def rows(query):
-        pos = np.minimum(np.searchsorted(sorted_keys, query), len(order) - 1)
-        return np.where(sorted_keys[pos] == query, order[pos], -1).astype(np.int64)
-
-    return r, rows
-
-
 @lru_cache(maxsize=None)
 def product_table(dim: int, deg_a: int, deg_b: int, deg_out: int) -> np.ndarray:
     """(Ma, Mb) table: index of monomial e_a + e_b among degree <= deg_out, or -1.
 
-    Mixed-radix keys (every entry < base) add under products."""
-    r, rows = _radix_lookup(dim, deg_out, max(deg_a + deg_b, deg_out) + 1)
-    ka = monomial_exponents(dim, deg_a).astype(r.dtype) @ r
-    kb = monomial_exponents(dim, deg_b).astype(r.dtype) @ r
-    table = rows(ka[:, None] + kb[None, :])
+    Mixed-radix keys e . (base^k) add under products and are exact while every
+    entry stays below base; past int64 they are Python integers."""
+    base = max(deg_a + deg_b, deg_out) + 1
+    dtype = np.int64 if base**dim < 2**63 else object
+    r = np.array([base**k for k in range(dim)], dtype=dtype)
+    keys = monomial_exponents(dim, deg_out).astype(dtype) @ r
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+    ka, kb = (monomial_exponents(dim, deg).astype(dtype) @ r for deg in (deg_a, deg_b))
+    query = ka[:, None] + kb[None, :]
+    pos = np.minimum(np.searchsorted(sorted_keys, query), len(order) - 1)
+    table = np.where(sorted_keys[pos] == query, order[pos], -1).astype(np.int64)
     table.flags.writeable = False
     return table
 
@@ -110,22 +98,9 @@ def quotient_table(dim: int, deg_a: int, deg_b: int, deg_out: int) -> np.ndarray
 
 
 @lru_cache(maxsize=None)
-def lowering_table(dim: int, degree: int) -> np.ndarray:
-    """(dim, M) table: [a, m] is the row of exps[m] - 1_a, or -1 where exps[m][a] == 0.
-
-    By the prefix property its first columns are the table of any lower degree."""
-    exps = monomial_exponents(dim, degree)
-    r, rows = _radix_lookup(dim, degree, degree + 1)
-    keys = exps.astype(r.dtype) @ r
-    table = np.where(exps.T > 0, rows(keys[None, :] - r[:, None]), -1)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=None)
 def _diff_table(dim: int, degree: int, var: int):
     """(src, dst, factor) index arrays implementing d/dxi_var on coefficient rows."""
-    lowered = lowering_table(dim, degree)[var]
+    lowered = quotient_table(dim, degree, 1, degree)[:, dim - var]  # the row of e - 1_var
     src = np.flatnonzero(lowered >= 0)
     return src, lowered[src], monomial_exponents(dim, degree)[src, var].astype(float)
 

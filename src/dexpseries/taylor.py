@@ -112,3 +112,9 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
 
     transported = _cauchy("ab,bc->ac", _cauchy("ab,bc->ac", inverse, m), frame)
     return [math.factorial(n) * transported[n] for n in range(K + 1)]
+
+
+def curvature_operators_bytes(d: int, max_order: int) -> int:
+    """Bytes of curvature_operators' largest array, the series of d Gamma along the
+    geodesic: (max_order + 1) d^4 doubles."""
+    return (max_order + 1) * d**4 * 8

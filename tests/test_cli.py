@@ -7,7 +7,6 @@ import pathlib
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -411,7 +410,7 @@ def test_import_builds_no_cached_table():
                             text=True, env=_child_env(), check=True)
     sizes = json.loads(result.stdout)
     assert {"dexpseries.polyjet.product_table", "dexpseries.polyjet.quotient_table",
-            "dexpseries.polyjet.lowering_table", "dexpseries.polyjet.monomial_exponents",
+            "dexpseries.polyjet.monomial_exponents",
             "dexpseries.manifolds._poly_tables", "dexpseries.manifolds._pattern_table"} <= set(sizes)
     assert {name: size for name, size in sizes.items() if size} == {}
 
@@ -746,48 +745,6 @@ def test_streamed_oracle_inputs_pass_the_budget(tmp_path, monkeypatch, command, 
            "max_degree": 4, "steps": steps}
     with pytest.raises(_PastTheBudget):
         main([command, "--config", write_config(tmp_path, cfg)] + extra)
-
-
-@pytest.mark.parametrize("d, batch", [(10, 1), (10, 2), (14, 1)])
-def test_polynomial_oracle_peak_stays_near_the_budget_count(monkeypatch, d, batch):
-    # the bytes cli._oracle_budget counts for one block bound what dexp_oracle
-    # really holds: the per-node monomial gathers are d M doubles, not d^2 M
-    counted = []
-    monkeypatch.setattr(dexpseries.cli, "_within_budget", lambda nbytes, what: counted.append(nbytes))
-    model, steps = dexpseries.polynomial_connection(d, 3, 0.5, 0), 8
-    dexpseries.cli._oracle_budget({"model": model, "steps": steps}, batch)
-    p, v = np.zeros(d), np.outer(np.linspace(0.5, 1.0, batch), np.full(d, 0.02))
-    tracemalloc.start()
-    try:
-        dexpseries.dexp_oracle(model, p, v, steps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * counted[0]
-
-
-@pytest.mark.parametrize("d, n", [(6, 4), (8, 4), (14, 3), (30, 2)])
-def test_dense_prediction_peak_stays_near_the_budget_count(tmp_path, monkeypatch, d, n):
-    # the bytes cmd_lemma2 counts for the dense prediction bound what
-    # curvature_jet(sphere(d), p, n - 2) holds once its tables are built; the count
-    # includes two contract blocks of CHUNK_BYTES, which small towers do not fill
-    counted = {}
-    monkeypatch.setattr(dexpseries.cli, "_within_budget",
-                        lambda nbytes, what: counted.setdefault(what.split(" for ")[0], nbytes))
-    monkeypatch.setattr(dexpseries.cli, "curvature_derivative_table", _past_the_budget)
-    cfg = {"manifold": {"kind": "sphere", "dimension": d}, "point": [0.05] * d,
-           "vector": [0.1] + [0.0] * (d - 1), "steps": 100}
-    with pytest.raises(_PastTheBudget):
-        main(["lemma2", "--config", write_config(tmp_path, cfg), "--n", str(n)])
-    model, p = dexpseries.sphere(d), np.full(d, 0.05)
-    dexpseries.curvature_jet(model, p, n - 2)
-    tracemalloc.start()
-    try:
-        dexpseries.curvature_jet(model, p, n - 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.5 * counted["dense prediction"] <= peak <= 1.25 * counted["dense prediction"]
 
 
 # -- the exit-code contract over drawn configs -----------------------------------------
