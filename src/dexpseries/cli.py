@@ -41,7 +41,7 @@ from .evaluate import closed_form_components, evaluate_closed_form, evaluate_rec
 from .geometry import ChartDomainError, curvature_jet_bytes
 from .oracle import (EPS, block_steps, curvature_derivative_table, dexp_oracle,
                      dexp_oracle_bytes, stencil_bytes)
-from .taylor import curvature_operators, curvature_operators_bytes
+from .taylor import curvature_operators
 from .tensors import operator_distance
 
 MAX_DEGREE_CAP = 12
@@ -206,12 +206,9 @@ def _within_budget(nbytes: int, what: str):
 
 def _series(cfg, route):
     """route(ops) on the Taylor-route operators r_n(v), each stage in the double range."""
-    model, n = cfg["model"], cfg["max_degree"]
-    d, order = model.dimension, max(0, n - 2)
-    _within_budget(curvature_operators_bytes(d, order),
-                   f"Christoffel partials series for max_degree {n} in dimension {d}")
     with _double_range("curvature operators r_n(v)"):
-        ops = curvature_operators(model, cfg["point"], cfg["vector"], order)
+        ops = curvature_operators(cfg["model"], cfg["point"], cfg["vector"],
+                                  max(0, cfg["max_degree"] - 2))
         if not np.all(np.isfinite(ops)):  # einsum raises no floating-point errors
             raise FloatingPointError("non-finite value")
     with _double_range("series sum"):

@@ -44,14 +44,12 @@ class SeriesEvaluation:
     operator: LinearOperator
     max_degree: int
     per_degree_norms: list[float]
-    truncation_estimate: float
 
     def to_json(self) -> dict:
         return {
             "operator": self.operator.to_json(),
             "max_degree": self.max_degree,
             "per_degree_norms": self.per_degree_norms,
-            "truncation_estimate": self.truncation_estimate,
         }
 
 
@@ -141,7 +139,7 @@ def recurrence_components(source, v=None, max_degree: int = 8) -> np.ndarray:
 
 def _package(comps: np.ndarray, max_degree: int) -> SeriesEvaluation:
     norms = np.linalg.norm(comps, axis=(1, 2)).tolist()
-    return SeriesEvaluation(LinearOperator(comps.sum(0)), max_degree, norms, norms[-1])
+    return SeriesEvaluation(LinearOperator(comps.sum(0)), max_degree, norms)
 
 
 def evaluate_closed_form(source, v=None, max_degree: int = 8) -> SeriesEvaluation:

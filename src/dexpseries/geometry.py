@@ -46,15 +46,15 @@ class ChartDomainError(ValueError):
 class ManifoldModel:
     """A chart with a torsion-free affine connection.
 
-    A model supplies christoffel(x), Gamma[..., k, i, j] = Gamma^k_ij at chart
-    points x of shape (..., d); christoffel_partials(x), the closed-form
-    [..., a, k, i, j] = d_a Gamma^k_ij; christoffel_series(xs) and
-    christoffel_partials_series(xs), both as (n, ...) series in t along a curve
-    with Taylor coefficients xs, a float array (n, d); and christoffel_jet(x, order), the
-    Taylor polynomial of Gamma about x as a PolyTensor of shape (d, d, d).  The
-    ODE oracle uses only the first two, the Taylor route only the series, and
-    the dense tower only the jet.  Symmetry in (i, j) is the torsion-free requirement;
-    symmetry of the jets under permutation of the derivative multi-index is
+    A model supplies christoffel(x), Gamma[..., k, i, j] = Gamma^k_ij at chart points x
+    of shape (..., d); christoffel_partials(x), the closed-form [..., a, k, i, j] =
+    d_a Gamma^k_ij; christoffel_series(xs), Gamma as a series in t along a curve with
+    Taylor coefficients xs (n, d); christoffel_gradient_series(xs, uu), the series
+    [k, a, l] of d_a Gamma^l(u, u) for the series uu (n, d, d) of u (x) u; and
+    christoffel_jet(x, order), the Taylor polynomial of Gamma about x as a PolyTensor of
+    shape (d, d, d).  The ODE oracle uses only the first two, the Taylor route only the
+    series, and the dense tower only the jet.  Symmetry in (i, j) is the torsion-free
+    requirement; symmetry of the jets under permutation of the derivative multi-index is
     automatic in the Taylor-coefficient encoding.
     """
 

@@ -3,11 +3,12 @@ spheres and hyperbolic space (sigma = 0, +1, -1), and seeded random
 polynomial connections.
 
 Every model supplies Christoffel symbols and their first partials in closed
-form on batches of chart points (for the oracle), as series along a curve (the
-Taylor route) and as exact jets (the dense tower): A(V) for the conformal
-family's one vector field V = w x (only w takes the Taylor division rule), or
-Taylor's theorem along x (polynomials).  No finite differencing and no
-multivariate polynomial product enters the curvature pipeline.
+form on batches of chart points (for the oracle), Gamma and the x-Jacobian of
+Gamma(u, u) as series along a curve (the Taylor route) and exact jets (the
+dense tower): A(V) for the conformal family's one vector field V = w x (only w
+takes the Taylor division rule), or Taylor's theorem along x (polynomials).
+No finite differencing and no multivariate polynomial product enters the
+curvature pipeline.
 """
 
 from __future__ import annotations
@@ -101,9 +102,11 @@ class _ConformalModel(ManifoldModel):
     def christoffel_series(self, xs) -> np.ndarray:
         return self._pattern(self._wx_series(xs)[1])
 
-    def christoffel_partials_series(self, xs) -> np.ndarray:
-        w, wx = self._wx_series(xs)  # d_a w x = w^2 x_a x
-        return self._pattern(_cauchy("a,c->ac", wx, wx) + w[:, None, None] * np.eye(self.dimension))
+    def christoffel_gradient_series(self, xs, uu) -> np.ndarray:
+        w, wx = self._wx_series(xs)  # d_a V = Y[a], Y = (w x) (x) (w x) + w I
+        y = _cauchy("a,c->ac", wx, wx) + w[:, None, None] * np.eye(self.dimension)
+        trace = np.einsum("kii->k", uu)[:, None, None] * np.eye(self.dimension)
+        return _cauchy("ac,cl->al", y, 2.0 * uu - trace)  # A(y)(u, u) = (2 uu - tr(uu) I) y
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)
@@ -189,7 +192,8 @@ class PolynomialConnection(ManifoldModel):
     partials gather x^(e - 1_a) by the lowered rows.  The jet is Taylor's
     theorem along x, Gamma(x + xi) = sum_{j <= D} (x . grad)^j Gamma(xi) / j!,
     where (x . grad) P has row m = sum_a x_a (e_m + 1_a)_a P[e_m + 1_a].
-    Along a curve x(t) monomial series replace the monomial values.
+    Along a curve x(t) monomial series replace the monomial values (d_a Gamma(u, u)
+    weights the coefficients' contractions C_s(u, u)).
     """
 
     name = "polynomial"
@@ -236,21 +240,22 @@ class PolynomialConnection(ManifoldModel):
     def _gamma(self, mono: np.ndarray) -> np.ndarray:  # from the monomial values x^e (..., M)
         return np.einsum("...s,skij->...kij", mono, self.coefficients)
 
-    def _partials(self, mono: np.ndarray) -> np.ndarray:  # d_a x^e = e_a x^(e - 1_a)
-        weights = self._exps.T * mono[..., self._lowered]
-        return np.einsum("...as,skij->...akij", weights, self.coefficients)
+    def _partial_weights(self, mono: np.ndarray) -> np.ndarray:  # [..., a, s]: e_a x^(e - 1_a)
+        return self._exps.T * mono[..., self._lowered]
 
     def christoffel(self, x) -> np.ndarray:
         return self._gamma(self._monomials(np.asarray(x, dtype=float)))
 
     def christoffel_partials(self, x) -> np.ndarray:
-        return self._partials(self._monomials(np.asarray(x, dtype=float)))
+        weights = self._partial_weights(self._monomials(np.asarray(x, dtype=float)))
+        return np.einsum("...as,skij->...akij", weights, self.coefficients)
 
     def christoffel_series(self, xs) -> np.ndarray:
         return self._gamma(self._monomial_series(xs))
 
-    def christoffel_partials_series(self, xs) -> np.ndarray:
-        return self._partials(self._monomial_series(xs))
+    def christoffel_gradient_series(self, xs, uu) -> np.ndarray:
+        weights = self._partial_weights(self._monomial_series(xs))
+        return _cauchy("as,sl->al", weights, np.einsum("skij,nij->nsk", self.coefficients, uu))
 
     def christoffel_jet(self, x, order: int) -> PolyTensor:
         x = np.asarray(x, dtype=float)

@@ -264,11 +264,11 @@ STENCIL_SAMPLE_KEYS = tuple(sorted({2 * s for s in STENCIL_OFFSETS} | set(STENCI
 
 
 def stencil_bytes(d: int, steps: int) -> int:
-    """Bytes the sample sweep of curvature_derivative_table holds at peak: for each of
-    its geodesics, one per sample key, Gamma, the transport generator and the frame at
-    the 2 b + 1 nodes of one block (b = block_steps(steps)), and d Gamma at its end."""
-    return len(STENCIL_SAMPLE_KEYS) * ((2 * block_steps(steps) + 1) * (d**3 + 2 * d**2)
-                                       + d**4) * 8
+    """Bytes the sample sweep of curvature_derivative_table holds at peak: for each of its
+    geodesics, one per sample key, Gamma, the transport generator and the frame at the 2 b + 1
+    nodes of one block (b = block_steps(steps)), or d Gamma at its end if larger (never both)."""
+    return len(STENCIL_SAMPLE_KEYS) * max((2 * block_steps(steps) + 1) * (d**3 + 2 * d**2),
+                                          d**4) * 8
 
 
 @dataclass

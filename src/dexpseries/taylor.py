@@ -10,14 +10,17 @@ Every quantity along the curve is a truncated univariate Taylor series in t,
 stored as an array whose leading axis is the power of t:
 
 * the geodesic coefficients, solved order by order from x'' = -Gamma(x)(x', x');
-* Gamma and its first partials along the curve, from the model's
-  christoffel_series and christoffel_partials_series, written with _cauchy
-  and the division rule _divide.  Gamma through order k + 1 needs x through
-  order k + 1 and gives x[k + 2] and x[k + 3], so one Gamma call serves two
-  orders; d Gamma is taken once, at the end;
+* Gamma along the curve, from the model's christoffel_series, written with
+  _cauchy and the division rule _divide.  Gamma through order k + 1 needs x
+  through order k + 1 and gives x[k + 2] and x[k + 3], so one Gamma call
+  serves two orders; Gamma is taken through order K + 1 (one more call when
+  K is odd);
+* M = R(x', .) x' from d_x' Gamma(., x'), which is dGamma/dt, and the
+  (d, d) Jacobian d_j Gamma(x', x') at fixed x', the model's
+  christoffel_gradient_series; no series of d Gamma (d^4 entries) is built;
 * the frame F (F' = A F with A = -Gamma(x)(x', .)) and its inverse
   (H' = -H A);
-* T = H M F with M = R(x', .) x', read off as r_n = n! [t^n] T.
+* T = H M F, read off as r_n = n! [t^n] T.
 
 This is the production route; the dense covariant-derivative tower in
 geometry is the cross-check, so nothing here builds a covariant-derivative
@@ -86,22 +89,23 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
     xs[0], xs[1] = p, v
     vel = np.zeros((K + 1, d))  # x'(t)
     vv = np.zeros((K + 1, d, d))  # x'(t) (x) x'(t)
-    for k in range(0, K + 1, 2):
-        g = model.christoffel_series(xs[:min(k + 2, K + 1)])  # Gamma(x(t)) to order min(k + 1, K)
+    gvv = np.zeros((K + 1, d))  # Gamma(x', x') = -x''
+    for k in range(0, K + 2, 2):
+        g = model.christoffel_series(xs[:k + 2])  # Gamma(x(t)) to order min(k + 1, K + 1)
         for j in range(k, min(k + 2, K + 1)):
             vel[j] = (j + 1) * xs[j + 1]
             vv[j] = np.einsum("ja,jb->ab", vel[:j + 1], vel[j::-1])
-            if j + 2 <= K + 1:
-                acc = np.einsum("ilab,iab->l", g[:j + 1], vv[j::-1])  # [t^j] Gamma(x', x')
-                xs[j + 2] = -acc / ((j + 2) * (j + 1))
-    dg = model.christoffel_partials_series(xs[:K + 1])  # [k, a, l, j, k']
+            gvv[j] = np.einsum("ilab,iab->l", g[:j + 1], vv[j::-1])
+            if j < K:
+                xs[j + 2] = -gvv[j] / ((j + 2) * (j + 1))
+    dg = np.arange(1, K + 2)[:, None, None, None] * g[1:]  # d/dt Gamma(x(t)) = d_x' Gamma
     gv = _cauchy("lim,i->lm", g, vel)  # Gamma(x', .) = -A
     # M[l, j] = R[l, i, j, k] x'^i x'^k with
     # R[l,i,j,k] = d_i G^l_jk - d_j G^l_ik + G^l_im G^m_jk - G^l_jm G^m_ik
-    m = (_cauchy("aljk,ak->lj", dg, vv)
-         - _cauchy("jlik,ik->lj", dg, vv)
-         + _cauchy("lm,mj->lj", gv, _cauchy("mjk,k->mj", g, vel))
-         - _cauchy("ljm,m->lj", g, _cauchy("mik,ik->m", g, vv)))
+    m = (_cauchy("ljk,k->lj", dg, vel)
+         - model.christoffel_gradient_series(xs[:K + 1], vv).swapaxes(1, 2)
+         + _cauchy("lm,mj->lj", gv, gv)
+         - _cauchy("ljm,m->lj", g, gvv))
 
     frame = np.zeros((K + 1, d, d))
     inverse = np.zeros((K + 1, d, d))
@@ -113,8 +117,3 @@ def curvature_operators(model: ManifoldModel, p, v, max_order: int) -> list[np.n
     transported = _cauchy("ab,bc->ac", _cauchy("ab,bc->ac", inverse, m), frame)
     return [math.factorial(n) * transported[n] for n in range(K + 1)]
 
-
-def curvature_operators_bytes(d: int, max_order: int) -> int:
-    """Bytes of curvature_operators' largest array, the series of d Gamma along the
-    geodesic: (max_order + 1) d^4 doubles."""
-    return (max_order + 1) * d**4 * 8

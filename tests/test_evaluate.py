@@ -114,7 +114,6 @@ def test_component_norm_invariants():
     ev = evaluate_closed_form(jet, v, 8)
     assert ev.per_degree_norms[0] == pytest.approx(np.sqrt(3))
     assert ev.per_degree_norms[1] == 0.0
-    assert ev.truncation_estimate == ev.per_degree_norms[-1]
     assert len(ev.per_degree_norms) == 9
 
 

@@ -36,20 +36,28 @@ ZOO = [
 
 @pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")
 def test_series_along_a_curve_sum_to_the_closed_form(model):
-    # Gamma and d Gamma along x(t) = x0 + x1 t + x2 t^2, summed through t^9 at
-    # t = 0.05, agree with the closed form at x(t) up to the truncation term
+    # Gamma along x(t) = x0 + x1 t + x2 t^2, and d_a Gamma(x(t))(u(t), u(t)) for
+    # u(t) = u0 + u1 t + u2 t^2, summed through t^9 at t = 0.05, agree with the
+    # closed forms at x(t) up to the truncation term
     rng = np.random.default_rng(4)
-    xs = np.zeros((10, model.dimension))
-    xs[:3] = rng.uniform(-0.3, 0.3, size=(3, model.dimension))
+    d = model.dimension
+    xs, us = np.zeros((10, d)), np.zeros((10, d))
+    xs[:3], us[:3] = rng.uniform(-0.3, 0.3, size=(2, 3, d))
+    uu = np.array([sum(np.outer(us[j], us[k - j]) for j in range(k + 1)) for k in range(10)])
     t = 0.05
-    x = xs[0] + xs[1] * t + xs[2] * t * t
-    for series, direct in ((model.christoffel_series, model.christoffel),
-                           (model.christoffel_partials_series, model.christoffel_partials)):
-        coeffs = series(xs)
-        assert coeffs.shape == (10,) + direct(x).shape
-        assert np.max(np.abs(coeffs[0] - direct(xs[0]))) <= 1e-15
+    x, u = (c[0] + c[1] * t + c[2] * t * t for c in (xs, us))
+
+    def gradient(y, uu):
+        return np.einsum("akij,ij->ak", model.christoffel_partials(y), uu)
+
+    for coeffs, direct, at0, at_t in (
+            (model.christoffel_series(xs), model.christoffel, (xs[0],), (x,)),
+            (model.christoffel_gradient_series(xs, uu), gradient, (xs[0], uu[0]),
+             (x, np.outer(u, u)))):
+        assert coeffs.shape == (10,) + direct(*at_t).shape
+        assert np.max(np.abs(coeffs[0] - direct(*at0))) <= 1e-15
         summed = np.tensordot(t ** np.arange(10), coeffs, axes=1)
-        assert np.max(np.abs(summed - direct(x))) <= 1e-12
+        assert np.max(np.abs(summed - direct(*at_t))) <= 1e-12
 
 
 @pytest.mark.parametrize("model", ZOO, ids=lambda m: f"{m.name}{m.dimension}")
@@ -125,8 +133,9 @@ def test_flat_quantities_are_positive_zeros(d, sign):
     metric = model.metric(x)
     assert np.array_equal(metric, np.eye(d)) and not np.any(np.signbit(metric))
     xs = sign * rng.uniform(0.1, 0.9, size=(5, d))
+    uu = np.einsum("ka,kb->kab", xs, xs)
     assert _positive_zeros(model.christoffel_series(xs), (5,) + (d,) * 3)
-    assert _positive_zeros(model.christoffel_partials_series(xs), (5,) + (d,) * 4)
+    assert _positive_zeros(model.christoffel_gradient_series(xs, uu), (5, d, d))
 
 
 def test_sphere_conformal_factor_and_metric():

@@ -4,7 +4,6 @@ The CLI refuses an input whose count exceeds cli.MAX_ARRAY_BYTES before the
 routine runs, so a count far below the peak would let a run past the budget.
 """
 
-import math
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,6 @@ from dexpseries.geometry import curvature_jet, curvature_jet_bytes
 from dexpseries.manifolds import flat, hyperbolic, polynomial_connection, sphere
 from dexpseries.oracle import (curvature_derivative_table, dexp_oracle, dexp_oracle_bytes,
                                stencil_bytes)
-from dexpseries.taylor import curvature_operators, curvature_operators_bytes
 
 # fixed overheads (temporaries, small index tables) dominate a count in d = 3:
 # the polynomial oracle there peaks at 4.7x a 33 KB count
@@ -23,15 +21,6 @@ SMALL_D_SLACK = 2**20
 
 def _poly(d, seed=0):
     return polynomial_connection(d, 3, 0.5, seed)
-
-
-def _taylor(model):
-    # the route's largest array is the series of d Gamma along the geodesic; the
-    # peak holds it and at most as much again
-    d, max_order = model.dimension, 10
-    p, v = np.full(d, 0.05), np.linspace(0.1, 0.2, d) / math.sqrt(d)
-    return (lambda: curvature_operators(model, p, v, max_order),
-            curvature_operators_bytes(d, max_order), 1.0, 2.0)
 
 
 def _dense(d, n):
@@ -59,10 +48,6 @@ def _stencil(model, steps):
 
 
 CASES = [  # (id, case factory, slack in bytes)
-    ("taylor-flat8", lambda: _taylor(flat(8)), 0),
-    ("taylor-sphere20", lambda: _taylor(sphere(20)), 0),
-    ("taylor-hyperbolic10", lambda: _taylor(hyperbolic(10)), 0),
-    ("taylor-polynomial10", lambda: _taylor(_poly(10, seed=3)), 0),
     ("dense-sphere6-n4", lambda: _dense(6, 4), 0),
     ("dense-sphere8-n4", lambda: _dense(8, 4), 0),
     ("dense-sphere14-n3", lambda: _dense(14, 3), 0),

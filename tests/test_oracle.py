@@ -354,7 +354,7 @@ def test_oracle_avoids_dense_machinery(monkeypatch):
     monkeypatch.setattr(dexpseries.geometry, "covariant_derivative", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "curvature_polynomial", forbidden)
     for m, _, _ in cases:
-        for name in ("christoffel_jet", "christoffel_series", "christoffel_partials_series"):
+        for name in ("christoffel_jet", "christoffel_series", "christoffel_gradient_series"):
             monkeypatch.setattr(type(m), name, forbidden)
     for case, want in zip(cases, expected):
         for got, ref in zip(_oracle_outputs(*case), want):

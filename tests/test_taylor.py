@@ -57,6 +57,15 @@ def test_operators_match_dense_jet(model):
             _assert_matches_dense(curvature_operators(model, p, v, MAX_ORDER), jet, v)
 
 
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"{m.name}-{m.dimension}")
+def test_odd_and_low_orders_match_dense_jet(model):
+    # an odd order takes Gamma through K + 1 with one more christoffel_series call
+    p, (v,) = _cases(model, count=1, seed=3)[0]
+    for order in (0, 1, 2, 3, 5):
+        _assert_matches_dense(curvature_operators(model, p, v, order),
+                              curvature_jet(model, p, order), v)
+
+
 def test_series_routes_agree_on_both_sources():
     model = polynomial_connection(3, 3, 0.5, 3)
     p, v = np.array([0.1, -0.05, 0.02]), np.array([0.2, 0.1, -0.15])
@@ -133,8 +142,10 @@ def test_taylor_route_avoids_dense_machinery(monkeypatch):
         for name in ("quotient_table", "_diff_table"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
-    for model in models:  # the multivariate Christoffel jet serves only the dense tower
-        monkeypatch.setattr(type(model), "christoffel_jet", forbidden)
+    for model in models:  # the multivariate Christoffel jet serves only the dense tower,
+        # the pointwise closed forms (d Gamma with d^4 entries) only the oracle
+        for name in ("christoffel_jet", "christoffel", "christoffel_partials"):
+            monkeypatch.setattr(type(model), name, forbidden)
     monkeypatch.setattr(dexpseries.polyjet, "product_table", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "covariant_derivative", forbidden)
     monkeypatch.setattr(dexpseries.geometry, "curvature_polynomial", forbidden)
